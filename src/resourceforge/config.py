@@ -1,8 +1,8 @@
 """Global numerical configuration.
 
 Dense eigendecompositions dominate the cost of every quantity here, so
-operations that grow the Hilbert space (tensor products, ancillas, copy
-regrouping) enforce a total-dimension cap.  The default keeps everything
+state loading and validation, and operations that grow the Hilbert space
+(tensors, ancillas, copy regrouping), enforce a total-dimension cap.  The default keeps everything
 comfortably sub-second on a desktop; it can be raised through the
 ``RESOURCEFORGE_MAX_DIM`` environment variable.
 """

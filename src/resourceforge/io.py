@@ -25,7 +25,7 @@ from .protocols import (
     SendQubit,
 )
 from .quantumness import OptimizerConfig
-from .states import DensityMatrix, validate
+from .states import DensityMatrix, check_dimension_cap, validate
 
 
 class FileFormatError(Exception):
@@ -107,6 +107,7 @@ def load_state(path: str) -> DensityMatrix:
         or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)
     ):
         raise FileFormatError(f"{path}: 'dims' must be a list of positive integers")
+    check_dimension_cap(dims, "state dimension")
     matrix = matrix_from_json(data["matrix"], f"{path}: matrix")
     return validate(matrix, dims)
 

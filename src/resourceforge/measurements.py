@@ -11,6 +11,7 @@ redundancy are accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     NotUnitary,
     ParamCountMismatch,
 )
-from .states import CONSTRUCTION_TOL, DensityMatrix
+from .states import CONSTRUCTION_TOL, DensityMatrix, _conjugate_site
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,9 @@ def measurement_from_params(params, d: int) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(d, unitary_from_params(params, d))
 
 
-def _site_split(dims: tuple[int, ...], site: int) -> tuple[int, int, int]:
-    left = int(np.prod(dims[:site]))
-    right = int(np.prod(dims[site + 1:]))
-    return left, dims[site], right
-
-
 def _dephase_site(matrix: np.ndarray, dims: tuple[int, ...], site: int) -> np.ndarray:
     """Zero every block that is off-diagonal in the site's computational index."""
-    left, ds, right = _site_split(dims, site)
+    left, ds, right = math.prod(dims[:site]), dims[site], math.prod(dims[site + 1:])
     t = matrix.reshape(left, ds, right, left, ds, right)
     out = np.zeros_like(t)
     for s in range(ds):
@@ -173,11 +168,9 @@ def measure_local(
             f"measurement dimension {m.dimension} != subsystem dimension "
             f"{rho.dims[side]}"
         )
-    left, ds, right = _site_split(rho.dims, side)
-    w = np.kron(np.eye(left), np.kron(m.basis.conj().T, np.eye(right)))
-    rotated = w @ rho.matrix @ w.conj().T
+    rotated = _conjugate_site(rho.matrix, rho.dims, side, m.basis.conj().T)
     dephased = _dephase_site(rotated, rho.dims, side)
-    out = w.conj().T @ dephased @ w
+    out = _conjugate_site(dephased, rho.dims, side, m.basis)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out, rho.dims)
 

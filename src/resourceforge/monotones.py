@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import max_dim
 from .entropy import Hamiltonian, free_energy_gap, negentropy
 from .errors import (
     BothZero,
     DimensionMismatch,
-    DimensionTooLarge,
     NonCommuting,
     UnequalSums,
 )
-from .states import DERIVED_TOL, DensityMatrix, spectrum
+from .states import DERIVED_TOL, DensityMatrix, check_dimension_cap, spectrum
 
 _ZERO_FLOOR = 1e-12
 
@@ -60,10 +58,7 @@ def padded_spectra(
     """Spectra of rho and sigma after mixed-ancilla padding to a common
     dimension dim(rho) * dim(sigma)."""
     d_r, d_s = rho.dim, sigma.dim
-    if d_r * d_s > max_dim():
-        raise DimensionTooLarge(
-            f"common dimension {d_r * d_s} exceeds cap {max_dim()}"
-        )
+    check_dimension_cap((d_r, d_s), "common dimension")
     x = np.repeat(spectrum(rho), d_s) / d_s
     y = np.repeat(spectrum(sigma), d_r) / d_r
     return x, y

@@ -1,9 +1,9 @@
-"""Brute-force reference implementations used to certify optimizer output.
+"""Reference implementations used to certify optimizer output.
 
-These run in the test suite; they trade speed for independence from the
-search machinery.  The measurement grids re-derive the dephased-state
-entropies from scratch (vectorised over the whole grid) instead of calling
-the objective used by the optimizer.
+These trade speed for independence from the search machinery.  The
+measurement grids (run in the test suite) re-derive the dephased-state
+entropies from scratch, vectorised over the whole grid, instead of calling
+the optimizer's objective; the relative-entropy certifiers build Pi(rho).
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .entropy import shannon_bits, vn_entropy
+from .entropy import relative_entropy, vn_entropy
 from .errors import NotAQubitOnA, NotBipartite, UnequalSums
+from .measurements import ProjectiveMeasurement, measure_both, measure_local
 from .states import DERIVED_TOL, EIG_FLOOR, DensityMatrix, partial_trace
 
 
@@ -74,6 +75,18 @@ def grid_min_discord(rho: DensityMatrix, g: GridSpec) -> float:
     s_a = vn_entropy(partial_trace(rho, [0]))
     values = (entropies - vn_entropy(rho)) - (s_a_prime - s_a)
     return float(values.min())
+
+
+def relent_to_dephased(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
+    """S(rho || Pi(rho)) for the dephasing Pi of A in the basis of m."""
+    return relative_entropy(rho, measure_local(rho, m, 0))
+
+
+def relent_to_doubly_dephased(
+    rho: DensityMatrix, m_a: ProjectiveMeasurement, m_b: ProjectiveMeasurement
+) -> float:
+    """S(rho || Pi_AB(rho)) for the dephasing of A in m_a and B in m_b."""
+    return relative_entropy(rho, measure_both(rho, m_a, m_b))
 
 
 def random_bistochastic_reachability(

@@ -22,10 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .config import max_dim
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     EmptyKeepSet,
     IllegalStepForMode,
     IndexOutOfRange,
@@ -38,6 +36,8 @@ from .measurements import dephasing_channel
 from .states import (
     CONSTRUCTION_TOL,
     DensityMatrix,
+    _conjugate_site,
+    check_dimension_cap,
     maximally_mixed,
     partial_trace,
     permute_subsystems,
@@ -162,7 +162,7 @@ def _check_index(reg: Register, idx: int) -> None:
 
 def _apply_local_unitary(reg: Register, step: LocalUnitary) -> Register:
     owned = _owned_indices(reg, step.side)
-    d_side = int(np.prod([reg.state.dims[k] for k in owned])) if owned else 1
+    d_side = math.prod(reg.state.dims[k] for k in owned)
     if step.matrix.shape[0] != d_side:
         raise DimensionMismatch(
             f"unitary dimension {step.matrix.shape[0]} != joint dimension "
@@ -171,20 +171,17 @@ def _apply_local_unitary(reg: Register, step: LocalUnitary) -> Register:
     rest = [k for k in range(len(reg.state.dims)) if k not in owned]
     perm = owned + rest
     grouped = permute_subsystems(reg.state, perm)
-    d_rest = int(np.prod([reg.state.dims[k] for k in rest])) if rest else 1
-    w = np.kron(step.matrix, np.eye(d_rest))
-    moved = DensityMatrix(w @ grouped.matrix @ w.conj().T, grouped.dims)
-    inverse = [0] * len(perm)
-    for pos, src in enumerate(perm):
-        inverse[src] = pos
-    return Register(permute_subsystems(moved, inverse), reg.ownership)
+    d_rest = grouped.dim // d_side
+    moved = _conjugate_site(grouped.matrix, (d_side, d_rest), 0, step.matrix)
+    inverse = [perm.index(k) for k in range(len(perm))]
+    return Register(
+        permute_subsystems(DensityMatrix(moved, grouped.dims), inverse),
+        reg.ownership,
+    )
 
 
 def _apply_add_ancilla(reg: Register, step: AddMaxMixedAncilla) -> Register:
-    if reg.state.dim * step.dim > max_dim():
-        raise DimensionTooLarge(
-            f"register dimension {reg.state.dim * step.dim} exceeds cap {max_dim()}"
-        )
+    check_dimension_cap((reg.state.dim, step.dim), "register dimension")
     new_state = tensor(reg.state, maximally_mixed((step.dim,)))
     return Register(new_state, reg.ownership + (step.side,))
 

@@ -1,43 +1,51 @@
 """Discord, one-way and zero-way deficits, their relative-entropy twins,
 isometry-extended and two-copy variants.
 
-Every minimisation over measurement bases runs the same engine: a
+Each quantity has one objective of the measured basis columns, shared by
+its fixed and optimised forms.  Every minimisation runs the same engine: a
 grid-seeded multi-start Nelder-Mead simplex over the angle chart of
 ``resourceforge.measurements``, followed by a short polish from the best
 point.  Structured starting points are always included, in particular the
 local eigenbasis of the measured marginal, which makes the minimum vanish
 identically on classical-quantum (or classical-classical) states.
 Restarts are reduced in restart-index order, so results are deterministic
-for a fixed seed regardless of how evaluations are scheduled.
+for a fixed seed regardless of how evaluations are scheduled.  Since
+S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
+relative-entropy twins run the deficit searches and certify their value at
+the argmin with ``resourceforge.oracles``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .config import max_dim
-from .errors import DimensionMismatch, DimensionTooLarge, NotBipartite
-from .entropy import mutual_information, relative_entropy, shannon_bits, vn_entropy
+from .errors import DimensionMismatch, NotBipartite
+from .entropy import mutual_information, shannon_bits, vn_entropy
 from .measurements import (
     ProjectiveMeasurement,
-    measure_both,
-    measure_local,
     measurement_from_params,
     param_count,
     param_ranges,
     params_from_unitary,
     unitary_from_params,
 )
-from .states import DensityMatrix, partial_trace, permute_subsystems, tensor
+from .oracles import relent_to_dephased, relent_to_doubly_dephased
+from .states import (
+    DensityMatrix,
+    check_dimension_cap,
+    partial_trace,
+    permute_subsystems,
+    tensor,
+)
 
 _LATTICE_CAP = 4096         # full seeding lattice only up to this many points
-_RELENT_PENALTY = 1e6       # stands in for +inf inside the simplex search
+
+_Objective = Callable[..., float]   # of the measured columns (one or two sides)
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,8 @@ class QuantumnessResult:
     """Minimised value in bits plus the argmin measurement and search trace.
 
     ``trace`` holds (restart index, converged value) pairs; the final entry
-    is the polish run, and ``value`` is the minimum over the trace.
+    is the polish run, and ``value`` is the minimum over the trace (for the
+    relative-entropy forms, only to rounding: see ``relent_to_cq``).
     """
 
     value: float
@@ -102,21 +111,79 @@ def _blocks_after_measurement(
     return np.einsum("ai,abcd,ci->ibd", columns.conj(), t, columns)
 
 
-def _measured_entropy(rho: DensityMatrix, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy of the A-side dephased state and the outcome probabilities."""
-    d_a, d_b = rho.dims
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    blocks = _blocks_after_measurement(t, basis)
-    w = np.linalg.eigvalsh(blocks)
-    probs = np.einsum("ibb->i", blocks).real
-    return shannon_bits(w), probs
+def _doubly_measured_probs(
+    t: np.ndarray, u_a: np.ndarray, u_b: np.ndarray
+) -> np.ndarray:
+    # both-sides dephasing leaves a diagonal state: q_ij = <b_i f_j|rho|b_i f_j>
+    return np.einsum(
+        "ai,bj,abcd,ci,dj->ij", u_a.conj(), u_b.conj(), t, u_a, u_b
+    ).real
+
+
+def _deficit_objective(rho: DensityMatrix) -> _Objective:
+    """S(rho') - S(rho) of the columns measured on A; they need not be
+    square (an embedded A measured in U is A measured with V^dag U)."""
+    _require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    s0 = vn_entropy(rho)
+
+    def objective(columns: np.ndarray) -> float:
+        blocks = _blocks_after_measurement(t, columns)
+        return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
+
+    return objective
+
+
+def _discord_objective(rho: DensityMatrix) -> _Objective:
+    """Mutual-information loss of the basis measured on A."""
+    _require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    s0 = vn_entropy(rho)
+    s_a = vn_entropy(partial_trace(rho, [0]))
+
+    def objective(basis: np.ndarray) -> float:
+        blocks = _blocks_after_measurement(t, basis)
+        s_prime = shannon_bits(np.linalg.eigvalsh(blocks))
+        s_a_prime = shannon_bits(np.einsum("ibb->i", blocks).real)
+        return (s_prime - s0) - (s_a_prime - s_a)
+
+    return objective
+
+
+def _zero_way_deficit_objective(rho: DensityMatrix) -> _Objective:
+    """S(rho'') - S(rho) of the bases measured on A and B."""
+    _require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    s0 = vn_entropy(rho)
+
+    def objective(u_a: np.ndarray, u_b: np.ndarray) -> float:
+        return shannon_bits(_doubly_measured_probs(t, u_a, u_b)) - s0
+
+    return objective
+
+
+def _zero_way_discord_objective(rho: DensityMatrix) -> _Objective:
+    """I(rho) - I(rho'') of the bases measured on A and B."""
+    _require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    i_m = mutual_information(rho)
+
+    def objective(u_a: np.ndarray, u_b: np.ndarray) -> float:
+        q = _doubly_measured_probs(t, u_a, u_b)
+        i_measured = (
+            shannon_bits(q.sum(axis=1))
+            + shannon_bits(q.sum(axis=0))
+            - shannon_bits(q)
+        )
+        return i_m - i_measured
+
+    return objective
 
 
 def deficit_one_way_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     """Entropy increase S(rho') - S(rho) for a fixed measurement on A."""
     _check_side_a(rho, m)
-    s_prime, _ = _measured_entropy(rho, m.basis)
-    return s_prime - vn_entropy(rho)
+    return _deficit_objective(rho)(m.basis)
 
 
 def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
@@ -126,19 +193,7 @@ def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     itself: [S(rho') - S(rho)] - [S(rho'_A) - S(rho_A)].
     """
     _check_side_a(rho, m)
-    s_prime, probs = _measured_entropy(rho, m.basis)
-    s_a_prime = shannon_bits(probs)
-    s_a = vn_entropy(partial_trace(rho, [0]))
-    return (s_prime - vn_entropy(rho)) - (s_a_prime - s_a)
-
-
-def _doubly_measured_probs(
-    t: np.ndarray, u_a: np.ndarray, u_b: np.ndarray
-) -> np.ndarray:
-    # both-sides dephasing leaves a diagonal state: q_ij = <b_i f_j|rho|b_i f_j>
-    return np.einsum(
-        "ai,bj,abcd,ci,dj->ij", u_a.conj(), u_b.conj(), t, u_a, u_b
-    ).real
+    return _discord_objective(rho)(m.basis)
 
 
 def _nelder_mead(
@@ -233,70 +288,38 @@ def _eigenbasis_params(reduced: np.ndarray) -> np.ndarray:
     return params_from_unitary(vecs)
 
 
-def _one_sided_scan(
+def _one_sided_search(
     rho: DensityMatrix,
-    objective_from_basis: Callable[[np.ndarray], float],
+    objective: _Objective,
     cfg: OptimizerConfig,
     extra_seeds: Sequence[np.ndarray] = (),
-) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
+) -> QuantumnessResult:
     d_a = rho.dims[0]
 
-    def objective(p: np.ndarray) -> float:
-        return objective_from_basis(unitary_from_params(p, d_a))
+    def at_params(p: np.ndarray) -> float:
+        return objective(unitary_from_params(p, d_a))
 
     rho_a = partial_trace(rho, [0]).matrix
     seeds = list(extra_seeds) + [
         _eigenbasis_params(rho_a),
         np.zeros(param_count(d_a)),
     ]
-    return _multistart_minimize(objective, param_ranges(d_a), cfg, seeds)
-
-
-def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
-    """Minimal entropy increase under a rank-one measurement on A."""
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    s0 = vn_entropy(rho)
-
-    def from_basis(u: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, u)
-        return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
-
-    val, x, trace = _one_sided_scan(rho, from_basis, cfg)
+    val, x, trace = _multistart_minimize(at_params, param_ranges(d_a), cfg, seeds)
     return QuantumnessResult(val, measurement_from_params(x, d_a), trace)
 
 
-def discord(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
-    """Minimal mutual-information loss under a rank-one measurement on A."""
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    s0 = vn_entropy(rho)
-    s_a = vn_entropy(partial_trace(rho, [0]))
-
-    def from_basis(u: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, u)
-        s_prime = shannon_bits(np.linalg.eigvalsh(blocks))
-        s_a_prime = shannon_bits(np.einsum("ibb->i", blocks).real)
-        return (s_prime - s0) - (s_a_prime - s_a)
-
-    val, x, trace = _one_sided_scan(rho, from_basis, cfg)
-    return QuantumnessResult(val, measurement_from_params(x, d_a), trace)
-
-
-def _two_sided_scan(
+def _two_sided_search(
     rho: DensityMatrix,
-    objective_from_bases: Callable[[np.ndarray, np.ndarray], float],
+    objective: _Objective,
     cfg: OptimizerConfig,
-) -> tuple[float, np.ndarray, np.ndarray, list[tuple[int, float]]]:
+) -> QuantumnessResult:
     d_a, d_b = rho.dims
     n_a = param_count(d_a)
 
-    def objective(p: np.ndarray) -> float:
+    def at_params(p: np.ndarray) -> float:
         u_a = unitary_from_params(p[:n_a], d_a)
         u_b = unitary_from_params(p[n_a:], d_b)
-        return objective_from_bases(u_a, u_b)
+        return objective(u_a, u_b)
 
     seeds = [
         np.concatenate([
@@ -306,92 +329,54 @@ def _two_sided_scan(
         np.zeros(n_a + param_count(d_b)),
     ]
     ranges = np.vstack([param_ranges(d_a), param_ranges(d_b)])
-    val, x, trace = _multistart_minimize(objective, ranges, cfg, seeds)
-    return val, x[:n_a], x[n_a:], trace
+    val, x, trace = _multistart_minimize(at_params, ranges, cfg, seeds)
+    pair = (
+        measurement_from_params(x[:n_a], d_a),
+        measurement_from_params(x[n_a:], d_b),
+    )
+    return QuantumnessResult(val, pair, trace)
+
+
+def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
+    """Minimal entropy increase under a rank-one measurement on A."""
+    return _one_sided_search(rho, _deficit_objective(rho), cfg)
+
+
+def discord(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
+    """Minimal mutual-information loss under a rank-one measurement on A."""
+    return _one_sided_search(rho, _discord_objective(rho), cfg)
 
 
 def deficit_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase when both sides are measured."""
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    s0 = vn_entropy(rho)
-
-    def from_bases(u_a: np.ndarray, u_b: np.ndarray) -> float:
-        return shannon_bits(_doubly_measured_probs(t, u_a, u_b)) - s0
-
-    val, xa, xb, trace = _two_sided_scan(rho, from_bases, cfg)
-    pair = (
-        measurement_from_params(xa, d_a),
-        measurement_from_params(xb, d_b),
-    )
-    return QuantumnessResult(val, pair, trace)
+    return _two_sided_search(rho, _zero_way_deficit_objective(rho), cfg)
 
 
 def discord_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss when both sides are measured."""
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    i_m = mutual_information(rho)
-
-    def from_bases(u_a: np.ndarray, u_b: np.ndarray) -> float:
-        q = _doubly_measured_probs(t, u_a, u_b)
-        i_measured = (
-            shannon_bits(q.sum(axis=1))
-            + shannon_bits(q.sum(axis=0))
-            - shannon_bits(q)
-        )
-        return i_m - i_measured
-
-    val, xa, xb, trace = _two_sided_scan(rho, from_bases, cfg)
-    pair = (
-        measurement_from_params(xa, d_a),
-        measurement_from_params(xb, d_b),
-    )
-    return QuantumnessResult(val, pair, trace)
+    return _two_sided_search(rho, _zero_way_discord_objective(rho), cfg)
 
 
 def relent_to_cq(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Relative-entropy distance to states classical on A.
 
-    For each basis the inner minimisation over classical-on-A states is
-    solved by the dephased state itself; the objective evaluates
-    S(rho || dephased rho) explicitly, an evaluation path independent of
-    the entropy-difference route used by ``deficit_one_way``.
+    The closest such state is the dephased state Pi(rho), and
+    S(rho || Pi(rho)) = S(Pi(rho)) - S(rho), so this runs the
+    ``deficit_one_way`` search.  ``value`` is S(rho || Pi(rho)) certified at
+    its argmin by ``oracles.relent_to_dephased``, an evaluation path
+    independent of the entropy-difference objective.
     """
-    _require_bipartite(rho)
-    d_a = rho.dims[0]
-
-    def from_basis(u: np.ndarray) -> float:
-        sigma = measure_local(rho, ProjectiveMeasurement(d_a, u), 0)
-        value = relative_entropy(rho, sigma)
-        return value if math.isfinite(value) else _RELENT_PENALTY
-
-    val, x, trace = _one_sided_scan(rho, from_basis, cfg)
-    return QuantumnessResult(val, measurement_from_params(x, d_a), trace)
+    res = deficit_one_way(rho, cfg)
+    return replace(res, value=relent_to_dephased(rho, res.argmin_measurement))
 
 
 def relent_to_cc(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
-    """Relative-entropy distance to states classical on both sides."""
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-
-    def from_bases(u_a: np.ndarray, u_b: np.ndarray) -> float:
-        sigma = measure_both(
-            rho,
-            ProjectiveMeasurement(d_a, u_a),
-            ProjectiveMeasurement(d_b, u_b),
-        )
-        value = relative_entropy(rho, sigma)
-        return value if math.isfinite(value) else _RELENT_PENALTY
-
-    val, xa, xb, trace = _two_sided_scan(rho, from_bases, cfg)
-    pair = (
-        measurement_from_params(xa, d_a),
-        measurement_from_params(xb, d_b),
-    )
-    return QuantumnessResult(val, pair, trace)
+    """Relative-entropy distance to states classical on both sides: the
+    ``deficit_zero_way`` search, with ``value`` S(rho || Pi_AB(rho)) certified
+    at its argmin by ``oracles.relent_to_doubly_dephased``."""
+    res = deficit_zero_way(rho, cfg)
+    value = relent_to_doubly_dephased(rho, *res.argmin_measurement)
+    return replace(res, value=value)
 
 
 def generalized_deficit(
@@ -412,17 +397,14 @@ def generalized_deficit(
     d_ap = d_a + extra_dim
     n_iso = param_count(d_ap)
     n_meas = param_count(d_ap)
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    s0 = vn_entropy(rho)
+    deficit = _deficit_objective(rho)
 
     def objective(p: np.ndarray) -> float:
         w = unitary_from_params(p[:n_iso], d_ap)
         v = w[:, :d_a]
         # measuring the embedded state in basis U is measuring the original
         # state with the column family K = V^dag U
-        k = v.conj().T @ unitary_from_params(p[n_iso:], d_ap)
-        blocks = _blocks_after_measurement(t, k)
-        return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
+        return deficit(v.conj().T @ unitary_from_params(p[n_iso:], d_ap))
 
     base = deficit_one_way(rho, cfg)
     base_u = np.zeros((d_ap, d_ap), dtype=np.complex128)
@@ -463,24 +445,13 @@ def multicopy_deficit(rho: DensityMatrix, n: int, cfg: OptimizerConfig) -> float
         raise ValueError(f"copy count must be 1 or 2, got {n}")
     if n == 1:
         return deficit_one_way(rho, cfg).value
-    if rho.dim ** 2 > max_dim():
-        raise DimensionTooLarge(
-            f"two-copy dimension {rho.dim ** 2} exceeds cap {max_dim()}"
-        )
+    check_dimension_cap((rho.dim, rho.dim), "two-copy dimension")
     base = deficit_one_way(rho, cfg)
     doubled = _regroup_two_copies(rho)
-    d_a2 = doubled.dims[0]
-    t = doubled.matrix.reshape(*doubled.dims, *doubled.dims)
-    s0 = vn_entropy(doubled)
-
-    def from_basis(u: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, u)
-        return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
-
     product_seed = params_from_unitary(
         np.kron(base.argmin_measurement.basis, base.argmin_measurement.basis)
     )
-    val, _x, _trace = _one_sided_scan(
-        doubled, from_basis, cfg, extra_seeds=[product_seed]
+    res = _one_sided_search(
+        doubled, _deficit_objective(doubled), cfg, extra_seeds=[product_seed]
     )
-    return val / 2
+    return res.value / 2

@@ -14,6 +14,7 @@ derived-quantity checks at ``DERIVED_TOL`` (1e-9), and eigenvalues below
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -68,16 +69,24 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def check_dimension_cap(dims: Sequence[int], what: str = "dimension") -> None:
+    """Raise DimensionTooLarge when the product of ``dims`` exceeds the cap."""
+    d = math.prod(dims)
+    if d > max_dim():
+        raise DimensionTooLarge(f"{what} {d} exceeds cap {max_dim()}")
+
+
 def validate(matrix, dims: Sequence[int]) -> DensityMatrix:
     """Check matrix and dims and return a :class:`DensityMatrix`.
 
     Raises the error of the first violated invariant: DimensionMismatch,
-    NotHermitian, NotUnitTrace, or NotPSD.
+    DimensionTooLarge, NotHermitian, NotUnitTrace, or NotPSD.
     """
-    m = _as_square_complex(matrix)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
+    check_dimension_cap(dims)
+    m = _as_square_complex(matrix)
     d = m.shape[0]
     if int(np.prod(dims)) != d:
         raise DimensionMismatch(
@@ -120,9 +129,7 @@ def pure_state(vector, dims: Sequence[int]) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; dims are concatenated (a's subsystems first)."""
-    d = a.dim * b.dim
-    if d > max_dim():
-        raise DimensionTooLarge(f"tensor dimension {d} exceeds cap {max_dim()}")
+    check_dimension_cap((a.dim, b.dim), "tensor dimension")
     return DensityMatrix(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
@@ -190,6 +197,20 @@ def validate_isometry(matrix) -> np.ndarray:
     return v
 
 
+def _conjugate_site(
+    matrix: np.ndarray, dims: tuple[int, ...], site: int, op: np.ndarray
+) -> np.ndarray:
+    """(I (x) op (x) I) M (I (x) op (x) I)^dag for a d' x d unitary or
+    isometry op on ``site``, contracted without a full-size Kronecker operator."""
+    left = math.prod(dims[:site])
+    right = math.prod(dims[site + 1:])
+    t = matrix.reshape(left, dims[site], right, left, dims[site], right)
+    t = np.einsum("xs,lsrmtq->lxrmtq", op, t)
+    t = np.einsum("lxrmtq,yt->lxrmyq", t, op.conj())
+    d = left * op.shape[0] * right
+    return t.reshape(d, d)
+
+
 def embed(rho: DensityMatrix, isometry, subsystem: int) -> DensityMatrix:
     """Apply an isometry to one subsystem: (I (x) V (x) I) rho (...)^dag.
 
@@ -205,17 +226,13 @@ def embed(rho: DensityMatrix, isometry, subsystem: int) -> DensityMatrix:
             f"isometry domain {v.shape[1]} != subsystem dimension "
             f"{rho.dims[subsystem]}"
         )
-    left = int(np.prod(rho.dims[:subsystem]))
-    right = int(np.prod(rho.dims[subsystem + 1:]))
     new_dims = (
         rho.dims[:subsystem] + (v.shape[0],) + rho.dims[subsystem + 1:]
     )
-    if int(np.prod(new_dims)) > max_dim():
-        raise DimensionTooLarge(
-            f"embedded dimension {int(np.prod(new_dims))} exceeds cap {max_dim()}"
-        )
-    full = np.kron(np.eye(left), np.kron(v, np.eye(right)))
-    return DensityMatrix(full @ rho.matrix @ full.conj().T, new_dims)
+    check_dimension_cap(new_dims, "embedded dimension")
+    return DensityMatrix(
+        _conjugate_site(rho.matrix, rho.dims, subsystem, v), new_dims
+    )
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

@@ -75,3 +75,53 @@ def apply_local(rho, u_a, u_b):
 
 def random_measurement(d, rng):
     return rf.ProjectiveMeasurement(d, random_unitary(d, rng))
+
+
+def random_isometry(rows, cols, rng):
+    """First ``cols`` columns of a Haar-random rows x rows unitary."""
+    return random_unitary(rows, rng)[:, :cols]
+
+
+# Kronecker-built references for the site-local contractions: each builds
+# the full-size operator I (x) op (x) I and conjugates the whole matrix.
+
+def _site_operator(dims, site, op):
+    left = int(np.prod(dims[:site]))
+    right = int(np.prod(dims[site + 1:]))
+    return np.kron(np.eye(left), np.kron(op, np.eye(right)))
+
+
+def kron_measure_local(rho, m, side):
+    """sum_i P_i rho P_i by rotating, dephasing and rotating back."""
+    w = _site_operator(rho.dims, side, m.basis.conj().T)
+    rotated = w @ rho.matrix @ w.conj().T
+    left = int(np.prod(rho.dims[:side]))
+    ds = rho.dims[side]
+    right = int(np.prod(rho.dims[side + 1:]))
+    t = rotated.reshape(left, ds, right, left, ds, right)
+    dephased = np.zeros_like(t)
+    for s in range(ds):
+        dephased[:, s, :, :, s, :] = t[:, s, :, :, s, :]
+    dephased = dephased.reshape(rho.dim, rho.dim)
+    out = w.conj().T @ dephased @ w
+    return rf.DensityMatrix((out + out.conj().T) / 2, rho.dims)
+
+
+def kron_embed(rho, v, subsystem):
+    """(I (x) V (x) I) rho (I (x) V (x) I)^dag."""
+    full = _site_operator(rho.dims, subsystem, v)
+    new_dims = rho.dims[:subsystem] + (v.shape[0],) + rho.dims[subsystem + 1:]
+    return rf.DensityMatrix(full @ rho.matrix @ full.conj().T, new_dims)
+
+
+def kron_local_unitary(reg, step):
+    """LocalUnitary step: group the side's subsystems first, apply U (x) I."""
+    owned = [k for k, o in enumerate(reg.ownership) if o == step.side]
+    rest = [k for k in range(len(reg.state.dims)) if k not in owned]
+    perm = owned + rest
+    grouped = rf.permute_subsystems(reg.state, perm)
+    d_rest = grouped.dim // step.matrix.shape[0]
+    w = np.kron(step.matrix, np.eye(d_rest))
+    moved = rf.DensityMatrix(w @ grouped.matrix @ w.conj().T, grouped.dims)
+    inverse = [perm.index(k) for k in range(len(perm))]
+    return rf.Register(rf.permute_subsystems(moved, inverse), reg.ownership)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import resourceforge as rf
 import resourceforge.io as rfio
 from resourceforge.cli import main
 from helpers import bell
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_json(path, obj):
@@ -27,6 +33,27 @@ def bell_file(tmp_path):
 @pytest.fixture
 def mixed_file(tmp_path):
     return state_file(tmp_path, rf.maximally_mixed((2, 2)), "mixed.json")
+
+
+@pytest.fixture
+def cnot_script(tmp_path):
+    """CLOCC script extracting one pure qubit from a Bell pair."""
+    cnot = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+    return write_json(
+        tmp_path / "script.json",
+        {
+            "mode": "CLOCC",
+            "steps": [
+                {"op": "SendQubit", "from": "A", "qubit": 0},
+                {
+                    "op": "LocalUnitary",
+                    "side": "B",
+                    "matrix": [[[v, 0] for v in row] for row in cnot],
+                },
+                {"op": "LocalPartialTrace", "side": "B", "subsystem": 1},
+            ],
+        },
+    )
 
 
 def run(capsys, argv):
@@ -110,6 +137,19 @@ class TestCliBasics:
         code, out, err = run(capsys, ["validate", "--state", path])
         assert code == 1
         assert "NotUnitTrace" in err
+
+    def test_validate_over_dimension_cap(self, capsys, tmp_path):
+        path = state_file(tmp_path, rf.maximally_mixed((2, 256)), "wide.json")
+        code, out, err = run(capsys, ["validate", "--state", path])
+        assert code == 1
+        assert out == ""
+        assert "DimensionTooLarge" in err
+
+    def test_validate_at_dimension_cap(self, capsys, tmp_path):
+        path = state_file(tmp_path, rf.maximally_mixed((16, 16)), "cap.json")
+        code, out, err = run(capsys, ["validate", "--state", path])
+        assert code == 0
+        assert json.loads(out) == {"valid": True, "dims": [16, 16], "dimension": 256}
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, ["entropy", "--state", "/nonexistent.json"])
@@ -239,25 +279,9 @@ class TestCliOptimizers:
 
 
 class TestCliProtocol:
-    def test_protocol_reports_bound(self, capsys, tmp_path, bell_file):
-        cnot = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
-        script = write_json(
-            tmp_path / "script.json",
-            {
-                "mode": "CLOCC",
-                "steps": [
-                    {"op": "SendQubit", "from": "A", "qubit": 0},
-                    {
-                        "op": "LocalUnitary",
-                        "side": "B",
-                        "matrix": [[[v, 0] for v in row] for row in cnot],
-                    },
-                    {"op": "LocalPartialTrace", "side": "B", "subsystem": 1},
-                ],
-            },
-        )
+    def test_protocol_reports_bound(self, capsys, bell_file, cnot_script):
         code, out, err = run(
-            capsys, ["protocol", "--state", bell_file, "--script", script]
+            capsys, ["protocol", "--state", bell_file, "--script", cnot_script]
         )
         assert code == 0
         result = json.loads(out)
@@ -293,3 +317,30 @@ class TestOutputFormats:
         )
         assert code == 1
         assert "DimensionTooLarge" in err
+
+
+class TestBlasThreadCount:
+    def test_output_bytes_do_not_depend_on_thread_count(
+        self, tmp_path, bell_file, cnot_script
+    ):
+        rho = rf.random_density(4, 4, 3)
+        state = state_file(tmp_path, rf.DensityMatrix(rho.matrix, (2, 2)))
+        commands = [
+            ["relent-cq", "--state", state, "--restarts", "4", "--grid", "4"],
+            ["protocol", "--state", bell_file, "--script", cnot_script],
+        ]
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS=threads)
+            # library-specific settings would override OMP_NUM_THREADS
+            for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env.pop(var, None)
+            outputs[threads] = [
+                subprocess.run(
+                    [sys.executable, "-m", "resourceforge.cli", *argv],
+                    env=env, capture_output=True, check=True, timeout=120,
+                ).stdout
+                for argv in commands
+            ]
+        assert all(outputs["1"])
+        assert outputs["1"] == outputs["2"]

@@ -188,6 +188,65 @@ class TestRelativeEntropyRoutes:
             assert abs(a - b) <= 1e-6
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+_BELL_BASIS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+) / np.sqrt(2)
+
+
+def _xlog2x(x):
+    return x * np.log2(x) if x > 0 else 0.0
+
+
+def _bell_diagonal_case(seed):
+    """Bell-diagonal state in a random local frame, and its correlations c_i."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(4))
+    m = sum(w * np.outer(v, v) for w, v in zip(weights, _BELL_BASIS))
+    c = [np.trace(m @ np.kron(s, s)).real for s in _PAULIS]
+    rho = apply_local(
+        rf.DensityMatrix(m, (2, 2)), random_unitary(2, rng), random_unitary(2, rng)
+    )
+    return rho, c
+
+
+def _luo_discord(c):
+    # Luo, PRA 77, 042303 (2008): I - C with C from the largest |c_i|
+    c1, c2, c3 = c
+    mutual = sum(
+        _xlog2x(x) for x in (
+            1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3
+        )
+    ) / 4
+    cmax = max(abs(x) for x in c)
+    classical = (_xlog2x(1 - cmax) + _xlog2x(1 + cmax)) / 2
+    return mutual - classical
+
+
+def _bell_diagonal_deficit(rho, c):
+    # 1 + h((1 + c) / 2) - S(rho), c = max |c_i|
+    p = (1 + max(abs(x) for x in c)) / 2
+    return 1 - _xlog2x(p) - _xlog2x(1 - p) - rf.vn_entropy(rho)
+
+
+class TestBellDiagonalClosedForms:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_discord_matches_luo(self, seed):
+        rho, c = _bell_diagonal_case(seed)
+        assert rf.discord(rho, FAST).value == pytest.approx(_luo_discord(c), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deficit_and_relent_match_closed_form(self, seed):
+        rho, c = _bell_diagonal_case(seed)
+        expected = _bell_diagonal_deficit(rho, c)
+        assert rf.deficit_one_way(rho, FAST).value == pytest.approx(expected, abs=1e-6)
+        assert rf.relent_to_cq(rho, FAST).value == pytest.approx(expected, abs=1e-6)
+
+
 class TestGeneralizedDeficit:
     def test_extra_dim_zero_matches_one_way(self):
         for seed in range(3):

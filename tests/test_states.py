@@ -32,6 +32,12 @@ class TestValidate:
         with pytest.raises(rf.DimensionMismatch):
             rf.validate(np.ones((2, 3)) / 6, [2])
 
+    def test_dimension_cap_checked_before_the_matrix(self):
+        # not Hermitian either: the cap is the first error raised
+        m = np.triu(np.ones((512, 512))) / 512
+        with pytest.raises(rf.DimensionTooLarge):
+            rf.validate(m, (2, 256))
+
     def test_non_finite_rejected(self):
         m = np.eye(2, dtype=complex) / 2
         m[0, 0] = np.nan
