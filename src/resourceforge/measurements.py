@@ -2,15 +2,17 @@
 
 A measurement is stored as the unitary whose columns are the measured
 basis, which keeps the projector family complete and orthogonal by
-construction.  Bases are parametrised by d^2 - 1 angles: a fixed sequence
-of two-angle Givens rotations (the elimination order of a QR sweep)
-followed by d - 1 relative column phases.  The chart reaches every
-rank-one complete measurement; projector relabeling and column-phase
-redundancy are accepted.
+construction.  Measurements are parametrised by d(d - 1) angles: a fixed
+sequence of two-angle Givens rotations (the elimination order of a QR
+sweep).  A projector |b><b| does not depend on the phase of b, so the chart
+carries no column phases; it reaches every rank-one complete measurement,
+and only projector relabeling is redundant.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,55 +54,49 @@ class ProjectiveMeasurement:
 
 
 def param_count(d: int) -> int:
-    """Number of angles parametrising bases in dimension d."""
-    return d * d - 1
+    """Number of angles parametrising measurements in dimension d."""
+    return d * (d - 1)
 
 
-def _elimination_sequence(d: int) -> list[tuple[int, int, int]]:
+@functools.lru_cache(maxsize=None)
+def _elimination_sequence(d: int) -> tuple[tuple[int, int, int], ...]:
     # (i, j, col): the rotation on rows (i, j) that zeroes entry (j, col)
     seq = []
     for col in range(d - 1):
         for row in range(d - 1, col, -1):
             seq.append((row - 1, row, col))
-    return seq
-
-
-def _givens(d: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    g = np.eye(d, dtype=np.complex128)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[i, j] = -s * np.exp(1j * phi)
-    g[j, i] = s * np.exp(-1j * phi)
-    g[j, j] = c
-    return g
+    return tuple(seq)
 
 
 def unitary_from_params(params, d: int) -> np.ndarray:
-    """Build the basis unitary for a parameter vector of length d^2 - 1.
+    """Build the basis unitary for a parameter vector of length d(d - 1).
 
-    Layout: [theta_1, phi_1, ..., theta_K, phi_K, alpha_1, ..., alpha_{d-1}]
-    with K = d(d-1)/2.  Natural ranges are theta in [0, pi/2], phi and
-    alpha in [0, 2 pi); the chart is periodic so any real values are valid.
+    Layout: [theta_1, phi_1, ..., theta_K, phi_K] with K = d(d-1)/2, one
+    Givens rotation per pair.  Natural ranges are theta in [0, pi/2] and
+    phi in [0, 2 pi); the chart is periodic so any real values are valid.
     """
     p = np.asarray(params, dtype=float).ravel()
     if p.shape != (param_count(d),):
         raise ParamCountMismatch(
             f"expected {param_count(d)} parameters for dimension {d}, got {p.size}"
         )
-    seq = _elimination_sequence(d)
-    u = np.eye(d, dtype=np.complex128)
-    for k, (i, j, _col) in enumerate(seq):
-        u = u @ _givens(d, i, j, p[2 * k], p[2 * k + 1])
-    phases = np.ones(d, dtype=np.complex128)
-    phases[1:] = np.exp(1j * p[2 * len(seq):])
-    return u * phases[None, :]
+    # each Givens factor mixes two columns only; on lists of Python complex
+    # numbers that costs less than array updates at the dimensions searched
+    cols = np.eye(d).tolist()
+    pairs = p.reshape(-1, 2).tolist()
+    for (i, j, _col), (theta, phi) in zip(_elimination_sequence(d), pairs):
+        c, s = math.cos(theta), math.sin(theta) * cmath.exp(1j * phi)
+        col_i, col_j = cols[i], cols[j]
+        cols[i] = [c * x + s.conjugate() * y for x, y in zip(col_i, col_j)]
+        cols[j] = [c * y - s * x for x, y in zip(col_i, col_j)]
+    return np.array(cols, dtype=np.complex128).T
 
 
 def params_from_unitary(u) -> np.ndarray:
-    """Invert the chart: angles reproducing u up to a global phase.
+    """Invert the chart: angles reproducing the measurement of u.
 
-    ``unitary_from_params(params_from_unitary(u), d)`` equals u times a
-    unit-modulus scalar, so it defines the same projective measurement.
+    ``unitary_from_params(params_from_unitary(u), d)`` equals u with each
+    column times its own unit-modulus phase, so it has the same projectors.
     """
     v = np.array(u, dtype=np.complex128)
     d = v.shape[0]
@@ -123,21 +119,13 @@ def params_from_unitary(u) -> np.ndarray:
         row_i = c * v[i] + s * np.exp(1j * phi) * v[j]
         row_j = -s * np.exp(-1j * phi) * v[i] + c * v[j]
         v[i], v[j] = row_i, row_j
-    diag = np.diagonal(v)
-    alphas = np.angle(diag[1:] * np.conj(diag[0]))
-    return np.concatenate([np.asarray(rot, dtype=float), alphas])
+    return np.asarray(rot, dtype=float)
 
 
 def param_ranges(d: int) -> np.ndarray:
     """(n, 2) array of natural [lo, hi) ranges matching the chart layout."""
-    n_rot = d * (d - 1) // 2
-    ranges = []
-    for _ in range(n_rot):
-        ranges.append((0.0, np.pi / 2))
-        ranges.append((0.0, 2 * np.pi))
-    for _ in range(d - 1):
-        ranges.append((0.0, 2 * np.pi))
-    return np.asarray(ranges, dtype=float)
+    pair = [(0.0, np.pi / 2), (0.0, 2 * np.pi)]
+    return np.asarray(pair * (d * (d - 1) // 2), dtype=float)
 
 
 def measurement_from_params(params, d: int) -> ProjectiveMeasurement:

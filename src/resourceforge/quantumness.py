@@ -38,6 +38,7 @@ from .oracles import relent_to_dephased, relent_to_doubly_dephased
 from .states import (
     DensityMatrix,
     check_dimension_cap,
+    embed,
     partial_trace,
     permute_subsystems,
     tensor,
@@ -121,14 +122,13 @@ def _doubly_measured_probs(
 
 
 def _deficit_objective(rho: DensityMatrix) -> _Objective:
-    """S(rho') - S(rho) of the columns measured on A; they need not be
-    square (an embedded A measured in U is A measured with V^dag U)."""
+    """S(rho') - S(rho) of the basis measured on A."""
     _require_bipartite(rho)
     t = rho.matrix.reshape(rho.dims * 2)
     s0 = vn_entropy(rho)
 
-    def objective(columns: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, columns)
+    def objective(basis: np.ndarray) -> float:
+        blocks = _blocks_after_measurement(t, basis)
         return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
 
     return objective
@@ -384,49 +384,31 @@ def generalized_deficit(
 ) -> QuantumnessResult:
     """One-way deficit minimised jointly over local isometric embeddings.
 
-    A is embedded into a space of dimension dA + extra_dim through the
-    first dA columns of a parametrised unitary, and the measurement runs
-    on the enlarged side.  The search is warm-started at the plain
-    one-way optimum (identity embedding), so the value never exceeds it
-    beyond solver noise.
+    A is embedded into a space of dimension dA + extra_dim and measured
+    there.  The embedding is absorbed into the measurement: for an isometry
+    V with unitary completion W, measuring V rho V^dag in basis U measures
+    the padded state (rho with dA + extra_dim levels on A) in basis W^dag U,
+    and W^dag U ranges over every basis as U does.  So this is the plain
+    one-way deficit of the padded state, warm-started at the unpadded
+    optimum; ``argmin_isometry`` is the canonical embedding.
     """
     _require_bipartite(rho)
     if extra_dim < 0:
         raise ValueError(f"extra_dim must be >= 0, got {extra_dim}")
-    d_a, d_b = rho.dims
+    d_a = rho.dims[0]
     d_ap = d_a + extra_dim
-    n_iso = param_count(d_ap)
-    n_meas = param_count(d_ap)
-    deficit = _deficit_objective(rho)
-
-    def objective(p: np.ndarray) -> float:
-        w = unitary_from_params(p[:n_iso], d_ap)
-        v = w[:, :d_a]
-        # measuring the embedded state in basis U is measuring the original
-        # state with the column family K = V^dag U
-        return deficit(v.conj().T @ unitary_from_params(p[n_iso:], d_ap))
-
+    isometry = np.eye(d_ap, d_a, dtype=np.complex128)
+    padded = embed(rho, isometry, 0)
     base = deficit_one_way(rho, cfg)
-    base_u = np.zeros((d_ap, d_ap), dtype=np.complex128)
+    base_u = np.eye(d_ap, dtype=np.complex128)
     base_u[:d_a, :d_a] = base.argmin_measurement.basis
-    if extra_dim:
-        base_u[d_a:, d_a:] = np.eye(extra_dim)
-    embedded_marginal = np.zeros((d_ap, d_ap), dtype=np.complex128)
-    embedded_marginal[:d_a, :d_a] = partial_trace(rho, [0]).matrix
-    seeds = [
-        np.concatenate([np.zeros(n_iso), params_from_unitary(base_u)]),
-        np.concatenate([np.zeros(n_iso), _eigenbasis_params(embedded_marginal)]),
-        np.zeros(n_iso + n_meas),
-    ]
-    ranges = np.vstack([param_ranges(d_ap), param_ranges(d_ap)])
-    val, x, trace = _multistart_minimize(objective, ranges, cfg, seeds)
-    w = unitary_from_params(x[:n_iso], d_ap)
-    return QuantumnessResult(
-        val,
-        measurement_from_params(x[n_iso:], d_ap),
-        trace,
-        argmin_isometry=w[:, :d_a].copy(),
+    res = _one_sided_search(
+        padded,
+        _deficit_objective(padded),
+        cfg,
+        extra_seeds=[params_from_unitary(base_u)],
     )
+    return replace(res, argmin_isometry=isometry)
 
 
 def _regroup_two_copies(rho: DensityMatrix) -> DensityMatrix:

@@ -82,7 +82,7 @@ class TestFileFormats:
             rfio.load_state(path)
 
     def test_measurement_roundtrip(self, tmp_path):
-        m = rf.measurement_from_params([0.3, 1.1, 2.0], 2)
+        m = rf.measurement_from_params([0.3, 1.1], 2)
         path = write_json(tmp_path / "m.json", rfio.measurement_to_json(m))
         loaded = rfio.load_measurement(path)
         np.testing.assert_allclose(loaded.basis, m.basis, atol=1e-11)
@@ -269,6 +269,14 @@ class TestCliOptimizers:
         )
         assert code == 0
         assert json.loads(out)["value_bits_per_copy"] <= 1.0 + 1e-3
+
+    def test_gendeficit_over_dimension_cap(self, capsys, mixed_file):
+        code, out, err = run(
+            capsys, ["gendeficit", "--state", mixed_file, "--extra-dim", "200"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "DimensionTooLarge" in err
 
     def test_deterministic_output(self, capsys, bell_file):
         argv = ["deficit", "--state", bell_file, "--restarts", "3", "--grid", "3",

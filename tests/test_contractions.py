@@ -1,5 +1,6 @@
 """Site-local contractions and the relative-entropy certifiers, checked
-against Kronecker-built references and closed forms over random states."""
+against Kronecker-built references and closed forms over random states,
+and the two gauge identities the measurement search relies on."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,6 +8,12 @@ from hypothesis import strategies as st
 
 import resourceforge as rf
 from resourceforge.oracles import relent_to_dephased, relent_to_doubly_dephased
+from resourceforge.quantumness import (
+    _deficit_objective,
+    _discord_objective,
+    _zero_way_deficit_objective,
+    _zero_way_discord_objective,
+)
 from helpers import (
     kron_embed,
     kron_local_unitary,
@@ -96,3 +103,52 @@ def test_two_sided_certifier_is_outcome_entropy_gap(dims, seed):
         rf.ProjectiveMeasurement(dims[1], u_b),
     )
     assert abs(value - gap) <= 1e-10
+
+
+def _bits(p):
+    p = p[p > 1e-15]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _deficit_at(rho, columns):
+    """S(rho') - S(rho) for A measured with the columns, in plain numpy."""
+    d_a, d_b = rho.dims
+    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    blocks = np.einsum("ai,ajbk,bi->ijk", columns.conj(), t, columns)
+    return _bits(np.linalg.eigvalsh(blocks)) - _bits(np.linalg.eigvalsh(rho.matrix))
+
+
+@PROPERTY
+@given(dims=DIMS, seed=SEEDS)
+def test_objectives_ignore_column_phases(dims, seed):
+    rho, rng = _state_and_rng(dims, seed)
+    u_a, u_b = random_unitary(dims[0], rng), random_unitary(dims[1], rng)
+    v_a = u_a * np.exp(2j * np.pi * rng.random(dims[0]))
+    v_b = u_b * np.exp(2j * np.pi * rng.random(dims[1]))
+    for one_sided in (_deficit_objective, _discord_objective):
+        objective = one_sided(rho)
+        assert abs(objective(v_a) - objective(u_a)) <= 1e-12
+    for two_sided in (_zero_way_deficit_objective, _zero_way_discord_objective):
+        objective = two_sided(rho)
+        assert abs(objective(v_a, v_b) - objective(u_a, u_b)) <= 1e-12
+
+
+@PROPERTY
+@given(dims=DIMS, extra=st.integers(1, 2), seed=SEEDS)
+def test_embedding_is_absorbed_by_the_measurement(dims, extra, seed):
+    # for V completed to a unitary W, measuring V rho V^dag in U measures
+    # rho with V^dag U = (W^dag U)[:dA], i.e. the padded state in W^dag U
+    rho, rng = _state_and_rng(dims, seed)
+    d_ap = dims[0] + extra
+    w = random_unitary(d_ap, rng)
+    v = w[:, : dims[0]]
+    u = random_unitary(d_ap, rng)
+    rotated = w.conj().T @ u
+    at_v = _deficit_at(rho, v.conj().T @ u)
+    assert abs(at_v - _deficit_at(rho, rotated[: dims[0]])) <= 1e-12
+    embedded = rf.embed(rho, v, 0)
+    padded = rf.embed(rho, np.eye(d_ap, dims[0]), 0)
+    in_u = rf.deficit_one_way_fixed(embedded, rf.ProjectiveMeasurement(d_ap, u))
+    in_rotated = rf.deficit_one_way_fixed(padded, rf.ProjectiveMeasurement(d_ap, rotated))
+    assert abs(in_u - at_v) <= 1e-12
+    assert abs(in_rotated - at_v) <= 1e-12

@@ -22,11 +22,11 @@ H_QUARTER = 0.8112781244591328
 
 class TestFixedMeasurementQuantities:
     def test_bell_computational_deficit(self):
-        m = rf.measurement_from_params(np.zeros(3), 2)
+        m = rf.measurement_from_params(np.zeros(2), 2)
         assert rf.deficit_one_way_fixed(bell(), m) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_computational_discord(self):
-        m = rf.measurement_from_params(np.zeros(3), 2)
+        m = rf.measurement_from_params(np.zeros(2), 2)
         assert rf.discord_fixed(bell(), m) == pytest.approx(1.0, abs=1e-12)
 
     def test_cq_state_in_classical_basis(self):
@@ -72,10 +72,10 @@ class TestFixedMeasurementQuantities:
 
     def test_dimension_mismatch(self):
         with pytest.raises(rf.DimensionMismatch):
-            rf.deficit_one_way_fixed(bell(), rf.measurement_from_params(np.zeros(8), 3))
+            rf.deficit_one_way_fixed(bell(), rf.measurement_from_params(np.zeros(6), 3))
 
     def test_requires_bipartite(self):
-        m = rf.measurement_from_params(np.zeros(3), 2)
+        m = rf.measurement_from_params(np.zeros(2), 2)
         with pytest.raises(rf.NotBipartite):
             rf.discord_fixed(rf.maximally_mixed((2, 2, 2)), m)
 
@@ -271,6 +271,10 @@ class TestGeneralizedDeficit:
             rho = random_bipartite(seed + 100)
             base = rf.deficit_one_way(rho, FAST).value
             assert rf.generalized_deficit(rho, 1, FAST).value <= base + 1e-6
+
+    def test_padded_dimension_over_cap_raises(self):
+        with pytest.raises(rf.DimensionTooLarge, match="embedded dimension 404"):
+            rf.generalized_deficit(rf.maximally_mixed((2, 2)), 200, rf.OptimizerConfig())
 
 
 class TestMulticopy:
