@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import io as rfio
+from . import quantumness
 from .entropy import (
     free_energy_gap,
     gibbs_state,
@@ -30,104 +32,40 @@ from .monotones import (
     single_shot_noisy_transition,
     thermo_rate,
 )
-from .protocols import bipartite_register, deficit_bound, extracted_local_purity, run_protocol
-from .quantumness import (
-    OptimizerConfig,
-    QuantumnessResult,
-    deficit_one_way,
-    deficit_zero_way,
-    discord,
-    discord_zero_way,
-    generalized_deficit,
-    multicopy_deficit,
-    relent_to_cc,
-    relent_to_cq,
+from .protocols import (
+    bipartite_register,
+    deficit_bound,
+    extracted_local_purity,
+    run_protocol,
 )
-from .states import validate
+from .quantumness import OptimizerConfig, QuantumnessResult
 
 
-def _add_state(p, second: bool = False, ham: bool = False):
-    p.add_argument("--state", required=True, help="path to a state JSON file")
-    if second:
-        p.add_argument("--state2", required=True, help="path to a second state")
-    if ham:
-        p.add_argument("--ham", required=True, help="path to a Hamiltonian JSON file")
+# file flag -> (help, loader in resourceforge.io), read in the order a
+# command lists them
+_FILES = {
+    "state": ("path to a state JSON file", "load_state"),
+    "state2": ("path to a second state", "load_state"),
+    "ham": ("path to a Hamiltonian JSON file", "load_hamiltonian"),
+    "script": ("path to a script JSON file", "load_script"),
+}
+
+_OPTIMIZER = (
+    ("--restarts", {"type": int, "default": None}),
+    ("--grid", {"type": int, "default": None, "help": "grid points per angle"}),
+    ("--tol", {"type": float, "default": None}),
+    ("--seed", {"type": int, "default": None}),
+)
 
 
-def _add_optimizer(p):
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None, help="grid points per angle")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+class _Command(NamedTuple):
+    """One subcommand: a handler called with the parsed arguments and the
+    loaded files, the file flags it reads (in order) and its other flags."""
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="resourceforge",
-        description="Resource-theory quantities for small quantum states.",
-    )
-    parser.add_argument(
-        "--out", choices=("json", "tsv"), default="json", help="output format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy", help="von Neumann entropy in bits")
-    _add_state(p)
-    p = sub.add_parser("relent", help="relative entropy S(state || state2)")
-    _add_state(p, second=True)
-    p = sub.add_parser("mutinfo", help="mutual information of a bipartite state")
-    _add_state(p)
-    p = sub.add_parser("negentropy", help="log2 d - S")
-    _add_state(p)
-    p = sub.add_parser("gibbs", help="Gibbs state of a Hamiltonian")
-    p.add_argument("--ham", required=True)
-    p = sub.add_parser("fgap", help="free-energy gap to the Gibbs state, in bits")
-    _add_state(p, ham=True)
-
-    for name, help_text in (
-        ("discord", "discord via measurement optimization"),
-        ("deficit", "one-way deficit via measurement optimization"),
-        ("deficit0", "zero-way deficit (both sides measured)"),
-        ("discord0", "zero-way discord (both sides measured)"),
-        ("relent-cq", "relative-entropy distance to classical-on-A states"),
-        ("relent-cc", "relative-entropy distance to classical-on-both states"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_state(p)
-        _add_optimizer(p)
-
-    p = sub.add_parser("gendeficit", help="deficit minimised over local embeddings")
-    _add_state(p)
-    _add_optimizer(p)
-    p.add_argument("--extra-dim", type=int, default=0)
-
-    p = sub.add_parser("multicopy", help="per-copy deficit of grouped copies")
-    _add_state(p)
-    _add_optimizer(p)
-    p.add_argument("--copies", type=int, default=2)
-
-    p = sub.add_parser("majorize", help="majorization test on two spectra")
-    p.add_argument("--x", required=True, help="comma-separated spectrum")
-    p.add_argument("--y", required=True, help="comma-separated spectrum")
-
-    p = sub.add_parser("transition", help="single-shot noisy-operation transition")
-    _add_state(p, second=True)
-
-    p = sub.add_parser("rate", help="conversion rate from two resource contents")
-    p.add_argument("--x", required=True, help="source content in bits")
-    p.add_argument("--y", required=True, help="target content in bits")
-
-    p = sub.add_parser("thermorate", help="thermodynamic conversion rate")
-    _add_state(p, second=True, ham=True)
-
-    p = sub.add_parser("protocol", help="run a protocol script on a bipartite state")
-    _add_state(p)
-    p.add_argument("--script", required=True, help="path to a script JSON file")
-    p.add_argument("--epsilon", type=float, default=0.01)
-
-    p = sub.add_parser("validate", help="check a state file")
-    _add_state(p)
-    return parser
+    help: str
+    run: Callable[..., dict]
+    files: tuple[str, ...] = ("state",)
+    flags: tuple[tuple[str, dict], ...] = ()
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -186,81 +124,128 @@ def _rate_json(result) -> dict:
     }
 
 
+def _bits(value: float) -> dict:
+    return {"bits": rfio.format_float(value)}
+
+
+def _protocol(args, rho, script) -> dict:
+    final = run_protocol(bipartite_register(rho), script)
+    out = rfio.state_to_json(final.state)
+    out["ownership"] = list(final.ownership)
+    out["extracted_purity"] = extracted_local_purity(final, args.epsilon)
+    if script.mode == "CLOCC":
+        out["deficit_bound"] = rfio.format_float(
+            deficit_bound(rho, script, args.epsilon)
+        )
+    return out
+
+
+def _xy_flags(help_x: str, help_y: str) -> tuple[tuple[str, dict], ...]:
+    return (
+        ("--x", {"required": True, "help": help_x}),
+        ("--y", {"required": True, "help": help_y}),
+    )
+
+
+def _search_command(help_text: str, quantity: str) -> _Command:
+    """A measurement search ``quantumness.<quantity>(rho, cfg)``, printed
+    with its argmin and trace."""
+
+    def run(args, rho) -> dict:
+        op = getattr(quantumness, quantity)
+        return _quantumness_json(op(rho, _optimizer_config(args)))
+
+    return _Command(help_text, run, flags=_OPTIMIZER)
+
+
+# Handlers reach library functions through module globals (and loaders and
+# searches through their modules) when a command runs, not through
+# references taken at import, so a function replaced on its module is the
+# one called.
+_COMMANDS = {
+    "entropy": _Command(
+        "von Neumann entropy in bits", lambda a, rho: _bits(vn_entropy(rho))),
+    "relent": _Command(
+        "relative entropy S(state || state2)",
+        lambda a, rho, sigma: _bits(relative_entropy(rho, sigma)), ("state", "state2")),
+    "mutinfo": _Command(
+        "mutual information of a bipartite state",
+        lambda a, rho: _bits(mutual_information(rho))),
+    "negentropy": _Command("log2 d - S", lambda a, rho: _bits(negentropy(rho))),
+    "gibbs": _Command(
+        "Gibbs state of a Hamiltonian",
+        lambda a, h: rfio.state_to_json(gibbs_state(h)), ("ham",)),
+    "fgap": _Command(
+        "free-energy gap to the Gibbs state, in bits",
+        lambda a, rho, h: _bits(free_energy_gap(rho, h)), ("state", "ham")),
+    "discord": _search_command("discord via measurement optimization", "discord"),
+    "deficit": _search_command(
+        "one-way deficit via measurement optimization", "deficit_one_way"),
+    "deficit0": _search_command(
+        "zero-way deficit (both sides measured)", "deficit_zero_way"),
+    "discord0": _search_command(
+        "zero-way discord (both sides measured)", "discord_zero_way"),
+    "relent-cq": _search_command(
+        "relative-entropy distance to classical-on-A states", "relent_to_cq"),
+    "relent-cc": _search_command(
+        "relative-entropy distance to classical-on-both states", "relent_to_cc"),
+    "gendeficit": _Command(
+        "deficit minimised over local embeddings",
+        lambda a, rho: _quantumness_json(quantumness.generalized_deficit(
+            rho, a.extra_dim, _optimizer_config(a))),
+        flags=_OPTIMIZER + (("--extra-dim", {"type": int, "default": 0}),)),
+    "multicopy": _Command(
+        "per-copy deficit of grouped copies",
+        lambda a, rho: {"value_bits_per_copy": rfio.format_float(
+            quantumness.multicopy_deficit(rho, a.copies, _optimizer_config(a)))},
+        flags=_OPTIMIZER + (("--copies", {"type": int, "default": 2}),)),
+    "majorize": _Command(
+        "majorization test on two spectra",
+        lambda a: {"majorizes": majorizes(_parse_spectrum(a.x), _parse_spectrum(a.y))},
+        (), _xy_flags("comma-separated spectrum", "comma-separated spectrum")),
+    "transition": _Command(
+        "single-shot noisy-operation transition",
+        lambda a, rho, sigma: {"possible": single_shot_noisy_transition(rho, sigma)},
+        ("state", "state2")),
+    "rate": _Command(
+        "conversion rate from two resource contents",
+        lambda a: _rate_json(conversion_rate(_parse_scalar(a.x), _parse_scalar(a.y))),
+        (), _xy_flags("source content in bits", "target content in bits")),
+    "thermorate": _Command(
+        "thermodynamic conversion rate",
+        lambda a, rho, sigma, h: _rate_json(thermo_rate(rho, sigma, h)),
+        ("state", "state2", "ham")),
+    "protocol": _Command(
+        "run a protocol script on a bipartite state", _protocol,
+        ("state", "script"), (("--epsilon", {"type": float, "default": 0.01}),)),
+    "validate": _Command(
+        "check a state file",
+        lambda a, rho: {"valid": True, "dims": list(rho.dims), "dimension": rho.dim}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="resourceforge",
+        description="Resource-theory quantities for small quantum states.",
+    )
+    parser.add_argument(
+        "--out", choices=("json", "tsv"), default="json", help="output format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for f in command.files:
+            p.add_argument(f"--{f}", required=True, help=_FILES[f][0])
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def _dispatch(args) -> dict:
-    cmd = args.command
-    if cmd == "entropy":
-        return {"bits": rfio.format_float(vn_entropy(rfio.load_state(args.state)))}
-    if cmd == "relent":
-        value = relative_entropy(
-            rfio.load_state(args.state), rfio.load_state(args.state2)
-        )
-        return {"bits": rfio.format_float(value)}
-    if cmd == "mutinfo":
-        return {
-            "bits": rfio.format_float(mutual_information(rfio.load_state(args.state)))
-        }
-    if cmd == "negentropy":
-        return {"bits": rfio.format_float(negentropy(rfio.load_state(args.state)))}
-    if cmd == "gibbs":
-        return rfio.state_to_json(gibbs_state(rfio.load_hamiltonian(args.ham)))
-    if cmd == "fgap":
-        value = free_energy_gap(
-            rfio.load_state(args.state), rfio.load_hamiltonian(args.ham)
-        )
-        return {"bits": rfio.format_float(value)}
-    if cmd in ("discord", "deficit", "deficit0", "discord0", "relent-cq", "relent-cc"):
-        rho = rfio.load_state(args.state)
-        cfg = _optimizer_config(args)
-        op = {
-            "discord": discord,
-            "deficit": deficit_one_way,
-            "deficit0": deficit_zero_way,
-            "discord0": discord_zero_way,
-            "relent-cq": relent_to_cq,
-            "relent-cc": relent_to_cc,
-        }[cmd]
-        return _quantumness_json(op(rho, cfg))
-    if cmd == "gendeficit":
-        rho = rfio.load_state(args.state)
-        result = generalized_deficit(rho, args.extra_dim, _optimizer_config(args))
-        return _quantumness_json(result)
-    if cmd == "multicopy":
-        rho = rfio.load_state(args.state)
-        value = multicopy_deficit(rho, args.copies, _optimizer_config(args))
-        return {"value_bits_per_copy": rfio.format_float(value)}
-    if cmd == "majorize":
-        x, y = _parse_spectrum(args.x), _parse_spectrum(args.y)
-        return {"majorizes": majorizes(x, y)}
-    if cmd == "transition":
-        possible = single_shot_noisy_transition(
-            rfio.load_state(args.state), rfio.load_state(args.state2)
-        )
-        return {"possible": possible}
-    if cmd == "rate":
-        return _rate_json(conversion_rate(_parse_scalar(args.x), _parse_scalar(args.y)))
-    if cmd == "thermorate":
-        result = thermo_rate(
-            rfio.load_state(args.state),
-            rfio.load_state(args.state2),
-            rfio.load_hamiltonian(args.ham),
-        )
-        return _rate_json(result)
-    if cmd == "protocol":
-        rho = rfio.load_state(args.state)
-        script = rfio.load_script(args.script)
-        final = run_protocol(bipartite_register(rho), script)
-        out = rfio.state_to_json(final.state)
-        out["ownership"] = list(final.ownership)
-        out["extracted_purity"] = extracted_local_purity(final, args.epsilon)
-        if script.mode == "CLOCC":
-            out["deficit_bound"] = rfio.format_float(
-                deficit_bound(rho, script, args.epsilon)
-            )
-        return out
-    if cmd == "validate":
-        rho = rfio.load_state(args.state)
-        return {"valid": True, "dims": list(rho.dims), "dimension": rho.dim}
-    raise AssertionError(f"unhandled command {cmd}")
+    command = _COMMANDS[args.command]
+    files = [getattr(rfio, _FILES[f][1])(getattr(args, f)) for f in command.files]
+    return command.run(args, *files)
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBipartite, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 from .states import (
     CONSTRUCTION_TOL,
     EIG_FLOOR,
     DensityMatrix,
     partial_trace,
+    require_bipartite,
 )
 
 
@@ -50,9 +51,15 @@ class Hamiltonian:
 
 
 def shannon_bits(probs) -> float:
-    """-sum p log2 p with the 0 log 0 = 0 convention (values <= 1e-12 dropped)."""
+    """-sum p log2 p over every p > 0 (so 0 log 0 = 0).
+
+    Non-positive entries, such as the rounding noise of eigenvalues that are
+    zero in exact arithmetic, are dropped; any positive mass, however small,
+    is counted, so a search cannot lower an entropy by pushing weight just
+    under a threshold.
+    """
     p = np.asarray(probs, dtype=float).ravel()
-    p = p[p > EIG_FLOOR]
+    p = p[p > 0.0]
     if p.size == 0:
         return 0.0
     return max(0.0, float(-(p * np.log2(p)).sum()))
@@ -89,8 +96,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) for a bipartite state."""
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
+    require_bipartite(rho)
     s_a = vn_entropy(partial_trace(rho, [0]))
     s_b = vn_entropy(partial_trace(rho, [1]))
     return max(0.0, s_a + s_b - vn_entropy(rho))

@@ -8,9 +8,10 @@ significant digits, and infinities become the string "inf".
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -146,19 +147,18 @@ def load_optimizer_config(path: str) -> OptimizerConfig:
     data = load_json(path)
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: expected a JSON object")
-    known = {"restarts", "grid_points", "max_iterations", "tolerance", "seed"}
-    unknown = set(data) - known
+    hints = get_type_hints(OptimizerConfig)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(OptimizerConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise FileFormatError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
-    for key in known & set(data):
-        value = data[key]
-        if key == "tolerance":
-            kwargs[key] = _require_number(value, f"{path}: {key}")
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise FileFormatError(f"{path}: {key} must be an integer")
-            kwargs[key] = value
+    for key, value in data.items():
+        if types[key] is float:
+            value = _require_number(value, f"{path}: {key}")
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise FileFormatError(f"{path}: {key} must be an integer")
+        kwargs[key] = value
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:

@@ -21,11 +21,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NotAQubit,
-    NotBipartite,
     NotUnitary,
     ParamCountMismatch,
 )
-from .states import CONSTRUCTION_TOL, DensityMatrix, _conjugate_site
+from .states import CONSTRUCTION_TOL, DensityMatrix, _conjugate_site, require_bipartite
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,7 @@ def measure_both(
     m_b: ProjectiveMeasurement,
 ) -> DensityMatrix:
     """Dephase both sides of a bipartite state; order does not matter."""
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
+    require_bipartite(rho)
     return measure_local(measure_local(rho, m_a, 0), m_b, 1)
 
 

@@ -14,9 +14,15 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .entropy import relative_entropy, vn_entropy
-from .errors import NotAQubitOnA, NotBipartite, UnequalSums
+from .errors import NotAQubitOnA, UnequalSums
 from .measurements import ProjectiveMeasurement, measure_both, measure_local
-from .states import DERIVED_TOL, EIG_FLOOR, DensityMatrix, partial_trace
+from .states import (
+    DERIVED_TOL,
+    EIG_FLOOR,
+    DensityMatrix,
+    partial_trace,
+    require_bipartite,
+)
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,7 @@ def _qubit_grid_bases(g: GridSpec) -> np.ndarray:
 
 
 def _grid_scan(rho: DensityMatrix, g: GridSpec):
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
+    require_bipartite(rho)
     if rho.dims[0] != 2:
         raise NotAQubitOnA(f"first subsystem has dimension {rho.dims[0]}")
     d_b = rho.dims[1]

@@ -28,7 +28,6 @@ from .errors import (
     IllegalStepForMode,
     IndexOutOfRange,
     NotAQubit,
-    NotBipartite,
     NotUnitary,
 )
 from .entropy import vn_entropy
@@ -41,6 +40,7 @@ from .states import (
     maximally_mixed,
     partial_trace,
     permute_subsystems,
+    require_bipartite,
     tensor,
 )
 
@@ -144,8 +144,7 @@ class Register:
 
 def bipartite_register(rho: DensityMatrix) -> Register:
     """Register for a two-subsystem state with the first factor owned by A."""
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
+    require_bipartite(rho)
     return Register(rho, ("A", "B"))
 
 

@@ -2,12 +2,13 @@
 isometry-extended and two-copy variants.
 
 Each quantity has one objective of the measured basis columns, shared by
-its fixed and optimised forms.  Every minimisation runs the same engine: a
-grid-seeded multi-start Nelder-Mead simplex over the angle chart of
-``resourceforge.measurements``, followed by a short polish from the best
-point.  Structured starting points are always included, in particular the
-local eigenbasis of the measured marginal, which makes the minimum vanish
-identically on classical-quantum (or classical-classical) states.
+its fixed and optimised forms.  Every minimisation runs one search,
+``_search``, over the measured sites: a grid-seeded multi-start Nelder-Mead
+simplex over the angle chart of ``resourceforge.measurements``, followed
+by a short polish from the best point.  Structured starting points are
+always included, in particular the local eigenbasis of the measured
+marginal, which makes the minimum vanish identically on classical-quantum
+(or classical-classical) states.
 Restarts are reduced in restart-index order, so results are deterministic
 for a fixed seed regardless of how evaluations are scheduled.  Since
 S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
@@ -17,14 +18,16 @@ the argmin with ``resourceforge.oracles``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
-from .errors import DimensionMismatch, NotBipartite
+from .errors import DimensionMismatch
 from .entropy import mutual_information, shannon_bits, vn_entropy
 from .measurements import (
     ProjectiveMeasurement,
@@ -41,6 +44,7 @@ from .states import (
     embed,
     partial_trace,
     permute_subsystems,
+    require_bipartite,
     tensor,
 )
 
@@ -89,13 +93,8 @@ class QuantumnessResult:
     argmin_isometry: Optional[np.ndarray] = None
 
 
-def _require_bipartite(rho: DensityMatrix) -> None:
-    if len(rho.dims) != 2:
-        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
-
-
 def _check_side_a(rho: DensityMatrix, m: ProjectiveMeasurement) -> None:
-    _require_bipartite(rho)
+    require_bipartite(rho)
     if m.dimension != rho.dims[0]:
         raise DimensionMismatch(
             f"measurement dimension {m.dimension} != first subsystem "
@@ -123,7 +122,7 @@ def _doubly_measured_probs(
 
 def _deficit_objective(rho: DensityMatrix) -> _Objective:
     """S(rho') - S(rho) of the basis measured on A."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     t = rho.matrix.reshape(rho.dims * 2)
     s0 = vn_entropy(rho)
 
@@ -136,7 +135,7 @@ def _deficit_objective(rho: DensityMatrix) -> _Objective:
 
 def _discord_objective(rho: DensityMatrix) -> _Objective:
     """Mutual-information loss of the basis measured on A."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     t = rho.matrix.reshape(rho.dims * 2)
     s0 = vn_entropy(rho)
     s_a = vn_entropy(partial_trace(rho, [0]))
@@ -152,7 +151,7 @@ def _discord_objective(rho: DensityMatrix) -> _Objective:
 
 def _zero_way_deficit_objective(rho: DensityMatrix) -> _Objective:
     """S(rho'') - S(rho) of the bases measured on A and B."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     t = rho.matrix.reshape(rho.dims * 2)
     s0 = vn_entropy(rho)
 
@@ -164,7 +163,7 @@ def _zero_way_deficit_objective(rho: DensityMatrix) -> _Objective:
 
 def _zero_way_discord_objective(rho: DensityMatrix) -> _Objective:
     """I(rho) - I(rho'') of the bases measured on A and B."""
-    _require_bipartite(rho)
+    require_bipartite(rho)
     t = rho.matrix.reshape(rho.dims * 2)
     i_m = mutual_information(rho)
 
@@ -235,8 +234,8 @@ def _multistart_minimize(
         for lo, hi in ranges
     ]
     if cfg.grid_points ** n <= max(_LATTICE_CAP, 4 * cfg.restarts):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        candidates = np.stack([m.ravel() for m in mesh], axis=-1)
+        # not meshgrid, which refuses more than 64 axes
+        candidates = np.array(list(itertools.product(*axes)))
     else:
         count = max(8 * cfg.restarts, 256)
         idx = rng.integers(0, cfg.grid_points, size=(count, n))
@@ -283,78 +282,68 @@ def _multistart_minimize(
     return best_val, best_x, trace
 
 
-def _eigenbasis_params(reduced: np.ndarray) -> np.ndarray:
-    _, vecs = np.linalg.eigh(reduced)
-    return params_from_unitary(vecs)
+def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
+    """Dimensions of the measured sites.  The dimension cap that bounds
+    states also bounds each site's d(d - 1) chart angles, so no search runs
+    over more angles than the cap."""
+    dims = [rho.dims[s] for s in sites]
+    for d in dims:
+        check_dimension_cap((param_count(d),), "search angles")
+    return dims
 
 
-def _one_sided_search(
+def _search(
     rho: DensityMatrix,
     objective: _Objective,
     cfg: OptimizerConfig,
-    extra_seeds: Sequence[np.ndarray] = (),
+    sites: Sequence[int] = (0,),
+    warm_bases: Sequence[np.ndarray] = (),
 ) -> QuantumnessResult:
-    d_a = rho.dims[0]
+    """Minimise ``objective`` over one basis per measured site.
+
+    The angle vector holds each site's chart angles in ``sites`` order, and
+    the objective takes one basis per site in the same order.  Structured
+    starts come first: the warm bases (one-site searches only), then the
+    eigenbases of the measured marginals, then the zero angles.  The
+    argmin is one measurement, or a tuple of them for several sites.
+    """
+    dims = _measured_dims(rho, sites)
+    bounds = list(itertools.accumulate(map(param_count, dims), initial=0))
+    charts = [(slice(lo, hi), d) for lo, hi, d in zip(bounds, bounds[1:], dims)]
 
     def at_params(p: np.ndarray) -> float:
-        return objective(unitary_from_params(p, d_a))
+        return objective(*[unitary_from_params(p[c], d) for c, d in charts])
 
-    rho_a = partial_trace(rho, [0]).matrix
-    seeds = list(extra_seeds) + [
-        _eigenbasis_params(rho_a),
-        np.zeros(param_count(d_a)),
+    eigenbases = [
+        params_from_unitary(np.linalg.eigh(partial_trace(rho, [s]).matrix)[1])
+        for s in sites
     ]
-    val, x, trace = _multistart_minimize(at_params, param_ranges(d_a), cfg, seeds)
-    return QuantumnessResult(val, measurement_from_params(x, d_a), trace)
-
-
-def _two_sided_search(
-    rho: DensityMatrix,
-    objective: _Objective,
-    cfg: OptimizerConfig,
-) -> QuantumnessResult:
-    d_a, d_b = rho.dims
-    n_a = param_count(d_a)
-
-    def at_params(p: np.ndarray) -> float:
-        u_a = unitary_from_params(p[:n_a], d_a)
-        u_b = unitary_from_params(p[n_a:], d_b)
-        return objective(u_a, u_b)
-
-    seeds = [
-        np.concatenate([
-            _eigenbasis_params(partial_trace(rho, [0]).matrix),
-            _eigenbasis_params(partial_trace(rho, [1]).matrix),
-        ]),
-        np.zeros(n_a + param_count(d_b)),
-    ]
-    ranges = np.vstack([param_ranges(d_a), param_ranges(d_b)])
+    seeds = [params_from_unitary(u) for u in warm_bases]
+    seeds += [np.concatenate(eigenbases), np.zeros(bounds[-1])]
+    ranges = np.vstack([param_ranges(d) for d in dims])
     val, x, trace = _multistart_minimize(at_params, ranges, cfg, seeds)
-    pair = (
-        measurement_from_params(x[:n_a], d_a),
-        measurement_from_params(x[n_a:], d_b),
-    )
-    return QuantumnessResult(val, pair, trace)
+    found = tuple(measurement_from_params(x[c], d) for c, d in charts)
+    return QuantumnessResult(val, found if len(found) > 1 else found[0], trace)
 
 
 def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase under a rank-one measurement on A."""
-    return _one_sided_search(rho, _deficit_objective(rho), cfg)
+    return _search(rho, _deficit_objective(rho), cfg)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss under a rank-one measurement on A."""
-    return _one_sided_search(rho, _discord_objective(rho), cfg)
+    return _search(rho, _discord_objective(rho), cfg)
 
 
 def deficit_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase when both sides are measured."""
-    return _two_sided_search(rho, _zero_way_deficit_objective(rho), cfg)
+    return _search(rho, _zero_way_deficit_objective(rho), cfg, sites=(0, 1))
 
 
 def discord_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss when both sides are measured."""
-    return _two_sided_search(rho, _zero_way_discord_objective(rho), cfg)
+    return _search(rho, _zero_way_discord_objective(rho), cfg, sites=(0, 1))
 
 
 def relent_to_cq(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
@@ -379,6 +368,21 @@ def relent_to_cc(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     return replace(res, value=value)
 
 
+def _lifted_deficit(
+    rho: DensityMatrix,
+    lifted: DensityMatrix,
+    lift: Callable[[np.ndarray], np.ndarray],
+    cfg: OptimizerConfig,
+) -> QuantumnessResult:
+    """One-way deficit of ``lifted``, a state with a larger A side that
+    ``lift`` maps bases of rho's A side into, warm-started at the lift of
+    rho's own optimal basis."""
+    _measured_dims(lifted, (0,))     # refuse before the unlifted search runs
+    base = deficit_one_way(rho, cfg)
+    warm = lift(base.argmin_measurement.basis)
+    return _search(lifted, _deficit_objective(lifted), cfg, warm_bases=[warm])
+
+
 def generalized_deficit(
     rho: DensityMatrix, extra_dim: int, cfg: OptimizerConfig
 ) -> QuantumnessResult:
@@ -392,21 +396,14 @@ def generalized_deficit(
     one-way deficit of the padded state, warm-started at the unpadded
     optimum; ``argmin_isometry`` is the canonical embedding.
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     if extra_dim < 0:
         raise ValueError(f"extra_dim must be >= 0, got {extra_dim}")
     d_a = rho.dims[0]
-    d_ap = d_a + extra_dim
-    isometry = np.eye(d_ap, d_a, dtype=np.complex128)
+    isometry = np.eye(d_a + extra_dim, d_a, dtype=np.complex128)
     padded = embed(rho, isometry, 0)
-    base = deficit_one_way(rho, cfg)
-    base_u = np.eye(d_ap, dtype=np.complex128)
-    base_u[:d_a, :d_a] = base.argmin_measurement.basis
-    res = _one_sided_search(
-        padded,
-        _deficit_objective(padded),
-        cfg,
-        extra_seeds=[params_from_unitary(base_u)],
+    res = _lifted_deficit(
+        rho, padded, lambda u: block_diag(u, np.eye(extra_dim)), cfg
     )
     return replace(res, argmin_isometry=isometry)
 
@@ -422,18 +419,11 @@ def multicopy_deficit(rho: DensityMatrix, n: int, cfg: OptimizerConfig) -> float
     """One-way deficit per copy of n grouped copies, with collective
     measurements on the joined A side.  Only n = 1 and n = 2 are supported.
     """
-    _require_bipartite(rho)
+    require_bipartite(rho)
     if n not in (1, 2):
         raise ValueError(f"copy count must be 1 or 2, got {n}")
     if n == 1:
         return deficit_one_way(rho, cfg).value
     check_dimension_cap((rho.dim, rho.dim), "two-copy dimension")
-    base = deficit_one_way(rho, cfg)
     doubled = _regroup_two_copies(rho)
-    product_seed = params_from_unitary(
-        np.kron(base.argmin_measurement.basis, base.argmin_measurement.basis)
-    )
-    res = _one_sided_search(
-        doubled, _deficit_objective(doubled), cfg, extra_seeds=[product_seed]
-    )
-    return res.value / 2
+    return _lifted_deficit(rho, doubled, lambda u: np.kron(u, u), cfg).value / 2

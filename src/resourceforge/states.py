@@ -8,8 +8,10 @@ inside a :class:`DensityMatrix` are frozen, so values can be shared freely
 across threads.
 
 Tolerance ladder: construction checks run at ``CONSTRUCTION_TOL`` (1e-10),
-derived-quantity checks at ``DERIVED_TOL`` (1e-9), and eigenvalues below
-``EIG_FLOOR`` (1e-12) are treated as zero before any logarithm.
+derived-quantity checks at ``DERIVED_TOL`` (1e-9), and ``EIG_FLOOR`` (1e-12)
+decides support: an eigenvalue of sigma at or below it is outside the
+support in a relative entropy S(rho || sigma).  Entropies themselves count
+every positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     DimensionTooLarge,
     EmptyKeepSet,
     IndexOutOfRange,
+    NotBipartite,
     NotHermitian,
     NotIsometry,
     NotPSD,
@@ -74,6 +77,12 @@ def check_dimension_cap(dims: Sequence[int], what: str = "dimension") -> None:
     d = math.prod(dims)
     if d > max_dim():
         raise DimensionTooLarge(f"{what} {d} exceeds cap {max_dim()}")
+
+
+def require_bipartite(rho: DensityMatrix) -> None:
+    """Raise NotBipartite unless ``rho`` has exactly two subsystems."""
+    if len(rho.dims) != 2:
+        raise NotBipartite(f"expected two subsystems, got dims {rho.dims}")
 
 
 def validate(matrix, dims: Sequence[int]) -> DensityMatrix:

@@ -99,9 +99,25 @@ class TestFileFormats:
         path = write_json(tmp_path / "cfg.json", {"restarts": 4, "seed": 9})
         cfg = rfio.load_optimizer_config(path)
         assert cfg.restarts == 4 and cfg.seed == 9
-        bad = write_json(tmp_path / "bad.json", {"restars": 4})
-        with pytest.raises(rfio.FileFormatError):
-            rfio.load_optimizer_config(bad)
+        full = {"restarts": 4, "grid_points": 3, "max_iterations": 50,
+                "tolerance": 1e-5, "seed": 9}
+        assert rfio.load_optimizer_config(
+            write_json(tmp_path / "full.json", full)
+        ) == rf.OptimizerConfig(**full)
+        assert rfio.load_optimizer_config(
+            write_json(tmp_path / "int_tol.json", {"tolerance": 1})
+        ).tolerance == 1.0
+        for bad in (
+            [4],                        # not an object
+            {"restars": 4},             # unknown key
+            {"restarts": 4.0},          # integer field given a float
+            {"seed": True},             # booleans are not integers
+            {"tolerance": "1e-6"},      # float field given a string
+            {"restarts": 0},            # rejected by OptimizerConfig
+        ):
+            path = write_json(tmp_path / "bad.json", bad)
+            with pytest.raises(rfio.FileFormatError):
+                rfio.load_optimizer_config(path)
 
     def test_script_file(self, tmp_path):
         path = write_json(
@@ -274,6 +290,13 @@ class TestCliOptimizers:
         code, out, err = run(
             capsys, ["gendeficit", "--state", mixed_file, "--extra-dim", "200"]
         )
+        assert code == 1
+        assert out == ""
+        assert "DimensionTooLarge" in err
+
+    def test_deficit_over_search_angle_bound(self, capsys, tmp_path):
+        wide = state_file(tmp_path, rf.maximally_mixed((17, 2)), "wide.json")
+        code, out, err = run(capsys, ["deficit", "--state", wide])
         assert code == 1
         assert out == ""
         assert "DimensionTooLarge" in err

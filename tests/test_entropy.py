@@ -14,6 +14,18 @@ def diag_state(*probs):
     return rf.validate(np.diag(probs).astype(complex), [len(probs)])
 
 
+class TestShannonBits:
+    def test_tiny_outcome_counts(self):
+        # -p log2 p of the 1e-13 outcome is 4.3e-12 bits, 30x the other term
+        p = 1e-13
+        expected = -(1 - p) * math.log2(1 - p) - p * math.log2(p)
+        assert rf.shannon_bits([1 - p, p]) == pytest.approx(expected, rel=1e-9)
+        assert expected == pytest.approx(4.4628e-12, rel=1e-4)
+
+    def test_non_positive_entries_dropped(self):
+        assert rf.shannon_bits([0.5, 0.5, 0.0, -1e-17]) == 1.0
+
+
 class TestVnEntropy:
     def test_pure_state(self):
         assert rf.vn_entropy(rf.pure_state([1, 1], (2,))) <= 1e-12

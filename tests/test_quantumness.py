@@ -272,6 +272,18 @@ class TestGeneralizedDeficit:
             base = rf.deficit_one_way(rho, FAST).value
             assert rf.generalized_deficit(rho, 1, FAST).value <= base + 1e-6
 
+    def test_value_is_the_deficit_at_its_argmin(self):
+        # the optimum puts ~1e-12 of weight on the padded level; an entropy
+        # that dropped such weight would read 5.1e-11 below this deficit
+        rho = rf.DensityMatrix(rf.random_density(4, 4, 101).matrix, (2, 2))
+        res = rf.generalized_deficit(rho, 1, rf.OptimizerConfig())
+        padded = rf.embed(rho, res.argmin_isometry, 0)
+        measured = rf.measure_local(padded, res.argmin_measurement, 0)
+        w = np.linalg.eigvalsh(measured.matrix)
+        w = w[w > 0]
+        recomputed = float(-(w * np.log2(w)).sum()) - rf.vn_entropy(rho)
+        assert res.value == pytest.approx(recomputed, abs=1e-14)
+
     def test_padded_dimension_over_cap_raises(self):
         with pytest.raises(rf.DimensionTooLarge, match="embedded dimension 404"):
             rf.generalized_deficit(rf.maximally_mixed((2, 2)), 200, rf.OptimizerConfig())
@@ -305,6 +317,30 @@ class TestMulticopy:
         monkeypatch.setenv(rf.MAX_DIM_ENV_VAR, "8")
         with pytest.raises(rf.DimensionTooLarge):
             rf.multicopy_deficit(bell(), 2, FAST)
+
+
+class TestSearchAngleBound:
+    @pytest.mark.parametrize(
+        "search, dims",
+        [(rf.deficit_one_way, (17, 2)), (rf.deficit_zero_way, (2, 17))],
+    )
+    def test_measured_side_over_cap_raises(self, search, dims):
+        # 17 levels have 17 * 16 = 272 chart angles, over the cap of 256
+        with pytest.raises(rf.DimensionTooLarge, match="search angles 272"):
+            search(rf.maximally_mixed(dims), FAST)
+
+    def test_generalized_deficit_padding(self):
+        with pytest.raises(rf.DimensionTooLarge, match="search angles 272"):
+            rf.generalized_deficit(rf.maximally_mixed((2, 2)), 15, FAST)
+
+    def test_multicopy_joined_side(self):
+        with pytest.raises(rf.DimensionTooLarge, match="search angles 600"):
+            rf.multicopy_deficit(rf.maximally_mixed((5, 2)), 2, FAST)
+
+    def test_env_var_raises_the_bound(self, monkeypatch):
+        monkeypatch.setenv(rf.MAX_DIM_ENV_VAR, "272")
+        cfg = rf.OptimizerConfig(restarts=1, grid_points=1, max_iterations=1)
+        assert rf.deficit_one_way(rf.maximally_mixed((17, 1)), cfg).value >= 0
 
 
 class TestOptimizerConfig:

@@ -5,6 +5,25 @@ import resourceforge as rf
 from helpers import bell, random_unitary
 
 
+Z_BASIS = rf.ProjectiveMeasurement(2, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        rf.mutual_information,
+        lambda rho: rf.measure_both(rho, Z_BASIS, Z_BASIS),
+        lambda rho: rf.discord(rho, rf.OptimizerConfig()),
+        lambda rho: rf.grid_min_deficit(rho, rf.GridSpec()),
+        rf.bipartite_register,
+    ],
+)
+def test_bipartite_check_is_shared(call):
+    message = r"^expected two subsystems, got dims \(2, 2, 2\)$"
+    with pytest.raises(rf.NotBipartite, match=message):
+        call(rf.maximally_mixed((2, 2, 2)))
+
+
 class TestValidate:
     def test_maximally_mixed_qubit(self):
         rho = rf.validate(np.eye(2) / 2, [2])
