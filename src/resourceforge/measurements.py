@@ -124,7 +124,7 @@ def params_from_unitary(u) -> np.ndarray:
 def param_ranges(d: int) -> np.ndarray:
     """(n, 2) array of natural [lo, hi) ranges matching the chart layout."""
     pair = [(0.0, np.pi / 2), (0.0, 2 * np.pi)]
-    return np.asarray(pair * (d * (d - 1) // 2), dtype=float)
+    return np.asarray(pair * (d * (d - 1) // 2), dtype=float).reshape(-1, 2)
 
 
 def measurement_from_params(params, d: int) -> ProjectiveMeasurement:

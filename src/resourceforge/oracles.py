@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .entropy import relative_entropy, vn_entropy
 from .errors import NotAQubitOnA, UnequalSums
@@ -110,6 +109,8 @@ def random_bistochastic_reachability(
         raise UnequalSums(f"lengths differ: {x.size} vs {y.size}")
     if abs(x.sum() - y.sum()) > DERIVED_TOL:
         raise UnequalSums(f"sums differ: {x.sum():.12g} vs {y.sum():.12g}")
+    from scipy.optimize import nnls    # here only: the package imports no scipy
+
     d = x.size
     rng = np.random.default_rng(seed)
     weight_row = 100.0

@@ -242,7 +242,10 @@ def run_protocol(reg: Register, script: ProtocolScript) -> Register:
         try:
             current = apply_step(current, step, script.mode)
         except Exception as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
+            # prefix the message in place: rebuilding the exception would
+            # call a constructor whose signature is not known here
+            exc.args = (f"step {k}: {exc}",)
+            raise
     return current
 
 

@@ -5,10 +5,13 @@ Each quantity has one objective of the measured basis columns, shared by
 its fixed and optimised forms.  Every minimisation runs one search,
 ``_search``, over the measured sites: a grid-seeded multi-start Nelder-Mead
 simplex over the angle chart of ``resourceforge.measurements``, followed
-by a short polish from the best point.  Structured starting points are
-always included, in particular the local eigenbasis of the measured
-marginal, which makes the minimum vanish identically on classical-quantum
-(or classical-classical) states.
+by a short polish from the best point.  The simplex, ``minimize``, is this
+module's own and needs numpy only; it repeats scipy's Nelder-Mead step for
+step, so its iterates are bit-identical to scipy's.  A one-level side has
+no angles, and the search returns the objective at the identity.
+Structured starting points are always included, in particular the local
+eigenbasis of the measured marginal, which makes the minimum vanish
+identically on classical-quantum (or classical-classical) states.
 Restarts are reduced in restart-index order, so results are deterministic
 for a fixed seed regardless of how evaluations are scheduled.  Since
 S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
@@ -21,11 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch
 from .entropy import mutual_information, shannon_bits, vn_entropy
@@ -195,29 +196,86 @@ def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     return _discord_objective(rho)(m.basis)
 
 
-def _nelder_mead(
+class SimplexResult(NamedTuple):
+    """One simplex run: the best value and vertex, the iterations (counted
+    from 1), the objective evaluations, and whether it converged before the
+    iteration cap."""
+
+    fun: float
+    x: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+
+
+def minimize(
     objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
+    simplex: np.ndarray,
     max_iterations: int,
     xatol: float,
     fatol: float,
-    step: float,
-) -> tuple[float, np.ndarray]:
-    n = x0.size
-    simplex = np.vstack([x0] + [x0 + step * e for e in np.eye(n)])
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iterations,
-            "xatol": xatol,
-            "fatol": fatol,
-            "initial_simplex": simplex,
-            "adaptive": n >= 6,
-        },
-    )
-    return float(res.fun), np.asarray(res.x, dtype=float)
+) -> SimplexResult:
+    """Nelder-Mead search from the (n + 1, n) vertices ``simplex``, n >= 1.
+
+    Step for step the Nelder-Mead of scipy 1.17 (``scipy.optimize.minimize``
+    with ``initial_simplex``, ``maxiter``, ``xatol``, ``fatol`` and
+    ``adaptive=n >= 6``), so its iterates are bit-identical to scipy's.
+    From 6 angles on it takes the dimension-adapted expansion, contraction
+    and shrink factors of Gao & Han, Comput. Optim. Appl. 51 (2012) 259.
+    It stops when every vertex lies within ``xatol`` of the best one in each
+    coordinate and within ``fatol`` of its value.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    if n >= 6:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(x)
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # sorted twice, as scipy does: argsort need not keep tied values in order
+    sim, fsim = by_value(*by_value(sim, fsim))
+    nit = 1
+    while nit < max_iterations:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = [f(v) for v in sim[1:]]
+        nit += 1
+        sim, fsim = by_value(sim, fsim)
+    return SimplexResult(np.min(fsim), sim[0], nit, nfev, nit < max_iterations)
 
 
 def _multistart_minimize(
@@ -227,8 +285,17 @@ def _multistart_minimize(
     structured_seeds: Sequence[np.ndarray] = (),
 ) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
     """Grid-seeded multi-start simplex search; deterministic for fixed seed."""
-    rng = np.random.default_rng(cfg.seed)
     n = len(ranges)
+    if n == 0:      # a one-level side: its only basis is the identity
+        val = float(objective(np.zeros(0)))
+        return val, np.zeros(0), [(0, val)]
+
+    def simplex_search(x0, step, xatol, fatol):
+        simplex = np.vstack([x0, x0 + step * np.eye(n)])
+        res = minimize(objective, simplex, cfg.max_iterations, xatol, fatol)
+        return float(res.fun), res.x
+
+    rng = np.random.default_rng(cfg.seed)
     axes = [
         np.linspace(lo, hi, cfg.grid_points, endpoint=False)
         for lo, hi in ranges
@@ -255,27 +322,13 @@ def _multistart_minimize(
     trace: list[tuple[int, float]] = []
     best_val, best_x = math.inf, starts[0]
     for i, x0 in enumerate(starts):
-        val, x = _nelder_mead(
-            objective,
-            x0,
-            cfg.max_iterations,
-            xatol=cfg.tolerance,
-            fatol=cfg.tolerance,
-            step=0.35,
-        )
+        val, x = simplex_search(x0, 0.35, cfg.tolerance, cfg.tolerance)
         trace.append((i, val))
         if val < best_val:
             best_val, best_x = val, x
     # polish: two short restarts from the incumbent with a tight simplex
     for _ in range(2):
-        val, x = _nelder_mead(
-            objective,
-            best_x,
-            cfg.max_iterations,
-            xatol=1e-8,
-            fatol=1e-12,
-            step=0.02,
-        )
+        val, x = simplex_search(best_x, 0.02, 1e-8, 1e-12)
         if val < best_val:
             best_val, best_x = val, x
     trace.append((len(starts), best_val))
@@ -402,9 +455,13 @@ def generalized_deficit(
     d_a = rho.dims[0]
     isometry = np.eye(d_a + extra_dim, d_a, dtype=np.complex128)
     padded = embed(rho, isometry, 0)
-    res = _lifted_deficit(
-        rho, padded, lambda u: block_diag(u, np.eye(extra_dim)), cfg
-    )
+
+    def pad(u: np.ndarray) -> np.ndarray:
+        w = np.eye(d_a + extra_dim, dtype=np.complex128)
+        w[:d_a, :d_a] = u
+        return w
+
+    res = _lifted_deficit(rho, padded, pad, cfg)
     return replace(res, argmin_isometry=isometry)
 
 

@@ -301,6 +301,12 @@ class TestCliOptimizers:
         assert out == ""
         assert "DimensionTooLarge" in err
 
+    def test_deficit_on_one_level_side(self, capsys, tmp_path):
+        state = state_file(tmp_path, rf.maximally_mixed((1, 2)))
+        code, out, err = run(capsys, ["deficit", "--state", state, "--restarts", "2"])
+        assert code == 0, err
+        assert json.loads(out)["value_bits"] == 0.0
+
     def test_deterministic_output(self, capsys, bell_file):
         argv = ["deficit", "--state", bell_file, "--restarts", "3", "--grid", "3",
                 "--seed", "5"]
@@ -330,6 +336,22 @@ class TestCliProtocol:
         )
         assert code == 1
         assert "IllegalStepForMode" in err
+
+    def test_wrong_size_unitary_names_its_step(self, capsys, tmp_path, bell_file):
+        script = write_json(
+            tmp_path / "script.json",
+            {"mode": "CLOCC", "steps": [
+                {"op": "SendQubit", "from": "A", "qubit": 0},
+                {"op": "LocalUnitary", "side": "B",
+                 "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            ]},
+        )
+        code, out, err = run(
+            capsys, ["protocol", "--state", bell_file, "--script", script]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DimensionMismatch: step 1: ")
 
 
 class TestOutputFormats:
@@ -375,3 +397,16 @@ class TestBlasThreadCount:
             ]
         assert all(outputs["1"])
         assert outputs["1"] == outputs["2"]
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, resourceforge, resourceforge.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

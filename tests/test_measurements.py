@@ -26,6 +26,10 @@ class TestChart:
             u = rf.unitary_from_params(p, d)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_param_ranges_shape(self, d):
+        assert rf.param_ranges(d).shape == (rf.param_count(d), 2)
+
     def test_param_count_mismatch(self):
         with pytest.raises(rf.ParamCountMismatch):
             rf.measurement_from_params(np.zeros(4), 2)

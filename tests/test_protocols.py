@@ -140,6 +140,19 @@ class TestRunProtocol:
         with pytest.raises(rf.IndexOutOfRange, match="step 0"):
             rf.run_protocol(rf.bipartite_register(bell()), script)
 
+    def test_failing_step_keeps_an_exception_with_two_arguments(self, monkeypatch):
+        class TwoArgs(Exception):
+            def __init__(self, what, where):
+                super().__init__(what, where)
+
+        def fail(reg, step, mode):
+            raise TwoArgs("bad", "here")
+
+        monkeypatch.setattr(rf.protocols, "apply_step", fail)
+        script = rf.ProtocolScript("CLOCC", (rf.LocalPartialTrace("A", 0),))
+        with pytest.raises(TwoArgs, match=r"^step 0: \('bad', 'here'\)$"):
+            rf.run_protocol(rf.bipartite_register(bell()), script)
+
     def test_determinism(self):
         reg = rf.bipartite_register(bell())
         a = rf.run_protocol(reg, bell_extraction_script())

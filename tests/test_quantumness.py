@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import resourceforge as rf
+from resourceforge import quantumness
 from helpers import (
     apply_local,
     bell,
@@ -341,6 +343,101 @@ class TestSearchAngleBound:
         monkeypatch.setenv(rf.MAX_DIM_ENV_VAR, "272")
         cfg = rf.OptimizerConfig(restarts=1, grid_points=1, max_iterations=1)
         assert rf.deficit_one_way(rf.maximally_mixed((17, 1)), cfg).value >= 0
+
+
+class TestOneLevelSide:
+    """A one-level side has no chart angles: its only basis is the identity."""
+
+    @pytest.mark.parametrize(
+        "search", [rf.deficit_one_way, rf.discord, rf.relent_to_cq]
+    )
+    def test_one_way_forms_vanish_at_the_identity(self, search):
+        res = search(rf.maximally_mixed((1, 2)), FAST)
+        assert res.value == 0.0
+        assert res.trace == [(0, 0.0)]
+        assert np.array_equal(res.argmin_measurement.basis, np.eye(1))
+
+    @pytest.mark.parametrize(
+        "search", [rf.deficit_zero_way, rf.discord_zero_way, rf.relent_to_cc]
+    )
+    def test_zero_way_forms_search_b_alone(self, search):
+        # classical in B's eigenbasis, which the search finds from its seeds
+        rho = rf.DensityMatrix(rf.random_density(2, 2, 3).matrix, (1, 2))
+        res = search(rho, FAST)
+        assert abs(res.value) <= 1e-12
+        m_a, m_b = res.argmin_measurement
+        assert np.array_equal(m_a.basis, np.eye(1)) and m_b.dimension == 2
+
+    def test_lifted_forms(self):
+        rho = rf.maximally_mixed((1, 2))
+        assert abs(rf.generalized_deficit(rho, 1, FAST).value) <= 1e-12
+        assert rf.multicopy_deficit(rho, 2, FAST) == 0.0
+
+
+def _chart_objective(rho, sites):
+    """The deficit objective of ``rho`` (one-way for one site, zero-way for
+    two) as a function of the measured sites' chart angles."""
+    dims = [rho.dims[s] for s in sites]
+    counts = [rf.param_count(d) for d in dims]
+    objective = (
+        quantumness._deficit_objective(rho)
+        if len(sites) == 1
+        else quantumness._zero_way_deficit_objective(rho)
+    )
+
+    def at(p):
+        parts = np.split(p, np.cumsum(counts)[:-1])
+        return objective(*map(rf.unitary_from_params, parts, dims))
+
+    return at, sum(counts)
+
+
+class TestSimplex:
+    """The in-package Nelder-Mead against scipy's, the reference it copies."""
+
+    @pytest.mark.parametrize(
+        "dims, sites, max_iterations, converges",
+        [
+            ((2, 2), (0,), 500, True),          # 2 angles
+            ((2, 2), (0, 1), 500, True),        # 4 angles
+            ((3, 2), (0,), 500, True),          # 6 angles: Gao-Han parameters
+            ((3, 3), (0, 1), 500, False),       # 12 angles, stops at the cap
+            ((3, 3), (0, 1), 5, False),
+            ((2, 2), (0,), 5, False),
+        ],
+    )
+    def test_bit_identical_to_scipy(self, dims, sites, max_iterations, converges):
+        objective, n = _chart_objective(random_bipartite(1, *dims), sites)
+        self._check(objective, n, max_iterations, converges)
+
+    def test_shrink_step(self):
+        # the maximally mixed state's objective is flat, so contractions fail
+        objective, n = _chart_objective(rf.maximally_mixed((2, 2)), (0,))
+        res = self._check(objective, n, 500, True)
+        assert res.nfev > (n + 1) + 2 * (res.nit - 1)   # some step cost n + 2
+
+    @staticmethod
+    def _check(objective, n, max_iterations, converges):
+        x0 = np.linspace(0.1, 1.0, n)
+        simplex = np.vstack([x0, x0 + 0.35 * np.eye(n)])
+        res = quantumness.minimize(objective, simplex, max_iterations, 1e-6, 1e-6)
+        ref = scipy_minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "initial_simplex": simplex,
+                "xatol": 1e-6,
+                "fatol": 1e-6,
+                "maxiter": max_iterations,
+                "adaptive": n >= 6,
+            },
+        )
+        assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.nit, res.nfev, res.success) == (ref.nit, ref.nfev, ref.success)
+        assert res.success == converges
+        return res
 
 
 class TestOptimizerConfig:
