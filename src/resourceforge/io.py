@@ -63,8 +63,33 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
+def _finite_pairs(rows) -> np.ndarray | None:
+    """The complex matrix of well-formed rows of finite [re, im] number
+    pairs, converted in one array operation; None for anything else."""
+    try:
+        pairs = np.asarray(rows)
+    except (ValueError, OverflowError):     # ragged, or a number out of range
+        return None
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "if":
+        return None
+    # among numbers numpy reads a boolean as 0 or 1: look at those entries
+    flagged = zip(*(idx.tolist() for idx in np.nonzero((pairs == 0) | (pairs == 1))))
+    if any(type(rows[i][j][k]) is bool for i, j, k in flagged):
+        return None
+    pairs = pairs.astype(np.float64)
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(np.complex128)[..., 0]
+
+
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
-    """Parse [[ [re, im], ... ], ...] into a complex array."""
+    """Parse [[ [re, im], ... ], ...] into a complex array.
+
+    Well-formed input is converted in one array operation.  Anything else
+    is walked entry by entry, and the first bad entry is named."""
+    parsed = _finite_pairs(rows)
+    if parsed is not None:
+        return parsed
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{where}: expected a non-empty list of rows")
     width = None

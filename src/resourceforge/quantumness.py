@@ -13,7 +13,23 @@ Structured starting points are always included, in particular the local
 eigenbasis of the measured marginal, which makes the minimum vanish
 identically on classical-quantum (or classical-classical) states.
 Restarts are reduced in restart-index order, so results are deterministic
-for a fixed seed regardless of how evaluations are scheduled.  Since
+for a fixed seed regardless of how evaluations are scheduled.
+
+Every search also carries a lower bound on its objective that costs three
+entropies, and stops as soon as its best value is within ``_STOP_EPS``
+bits of it.  Measuring A in a basis leaves sum_i p_i |i><i| (x) rho_i, of
+entropy H(p) + sum_i p_i S(rho_i).  That is at least S(sum_i p_i rho_i) =
+S(B), the entropy of a mixture being at most H(p) plus the mean entropy
+of its parts.  It is also at least S(A): p is the diagonal of rho_A in
+the measured basis, which the spectrum of rho_A majorises (Schur), so
+H(p) >= S(A).  So the one-way deficit is at least
+max(0, S(A) - S(AB), S(B) - S(AB)).  Discord is
+S(A) - S(AB) + sum_i p_i S(rho_i) >= max(0, S(A) - S(AB)); the S(B) term
+does not bound it.  Each zero-way form is at least both of its one-way
+forms (measuring the second side only loses more), so both take the full
+deficit bound.  The bound is met on classical-quantum, classical-classical,
+pure and maximally correlated states; there the search usually ends at a
+structured seed or after its first restarts.  Since
 S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
 relative-entropy twins run the deficit searches and certify their value at
 the argmin with ``resourceforge.oracles``.
@@ -50,6 +66,7 @@ from .states import (
 )
 
 _LATTICE_CAP = 4096         # full seeding lattice only up to this many points
+_STOP_EPS = 1e-12           # bits: a search stops this close to its lower bound
 
 _Objective = Callable[..., float]   # of the measured columns (one or two sides)
 
@@ -73,8 +90,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.grid_points < 1 or self.max_iterations < 1:
             raise ValueError("restarts, grid_points, max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -83,7 +104,11 @@ class QuantumnessResult:
 
     ``trace`` holds (restart index, converged value) pairs; the final entry
     is the polish run, and ``value`` is the minimum over the trace (for the
-    relative-entropy forms, only to rounding: see ``relent_to_cq``).
+    relative-entropy forms, only to rounding: see ``relent_to_cq``).  A
+    search that reaches its entropic lower bound stops there: at a
+    structured seed, the trace holds (seed index, value) for each seed
+    evaluated up to and including that one; after a restart, it holds the
+    restarts run so far and no polish entry.
     """
 
     value: float
@@ -178,6 +203,14 @@ def _zero_way_discord_objective(rho: DensityMatrix) -> _Objective:
         return i_m - i_measured
 
     return objective
+
+
+def _entropic_bound(rho: DensityMatrix, sides: Sequence[int] = (0, 1)) -> float:
+    """max(0, S(X) - S(AB)) over the marginals X on ``sides``: a lower bound
+    on the one-way deficit and both zero-way forms with ``sides=(0, 1)``,
+    and on discord with ``sides=(0,)`` (see the module docstring)."""
+    s0 = vn_entropy(rho)
+    return max([0.0] + [vn_entropy(partial_trace(rho, [s])) - s0 for s in sides])
 
 
 def deficit_one_way_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
@@ -283,8 +316,18 @@ def _multistart_minimize(
     ranges: np.ndarray,
     cfg: OptimizerConfig,
     structured_seeds: Sequence[np.ndarray] = (),
+    bound: float = -math.inf,
 ) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
-    """Grid-seeded multi-start simplex search; deterministic for fixed seed."""
+    """Grid-seeded multi-start simplex search; deterministic for fixed seed.
+
+    ``bound`` is a lower bound on ``objective``.  The structured seeds are
+    evaluated in order before the lattice, and the first within
+    ``_STOP_EPS`` of the bound is returned with the trace of the seeds so
+    far.  After each restart the best value is checked again, and once it
+    is within ``_STOP_EPS`` the remaining restarts and the polish are
+    skipped.  A search that never gets that close runs, and returns,
+    exactly as it would without a bound.
+    """
     n = len(ranges)
     if n == 0:      # a one-level side: its only basis is the identity
         val = float(objective(np.zeros(0)))
@@ -313,6 +356,13 @@ def _multistart_minimize(
     for s in seeds:
         if s.size != n:
             raise ValueError(f"seed length {s.size} != parameter count {n}")
+    stop = bound + _STOP_EPS
+    seed_trace: list[tuple[int, float]] = []
+    for i, s in enumerate(seeds):
+        val = float(objective(s))
+        seed_trace.append((i, val))
+        if val <= stop:
+            return val, s, seed_trace
     cand_vals = np.array([objective(c) for c in candidates])
     order = np.argsort(cand_vals, kind="stable")
     starts = seeds[: cfg.restarts]
@@ -326,6 +376,8 @@ def _multistart_minimize(
         trace.append((i, val))
         if val < best_val:
             best_val, best_x = val, x
+        if best_val <= stop:
+            return best_val, best_x, trace
     # polish: two short restarts from the incumbent with a tight simplex
     for _ in range(2):
         val, x = simplex_search(best_x, 0.02, 1e-8, 1e-12)
@@ -348,6 +400,7 @@ def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
 def _search(
     rho: DensityMatrix,
     objective: _Objective,
+    bound: float,
     cfg: OptimizerConfig,
     sites: Sequence[int] = (0,),
     warm_bases: Sequence[np.ndarray] = (),
@@ -359,6 +412,12 @@ def _search(
     starts come first: the warm bases (one-site searches only), then the
     eigenbases of the measured marginals, then the zero angles.  The
     argmin is one measurement, or a tuple of them for several sites.
+
+    ``bound`` is a certified lower bound on ``objective``, an
+    ``_entropic_bound`` of the searched state.  The search stops once its
+    best value is within ``_STOP_EPS`` bits of it, so a stopped value lies
+    within that distance of the true minimum; ``value`` is still the
+    minimum over the trace and the objective at the returned basis.
     """
     dims = _measured_dims(rho, sites)
     bounds = list(itertools.accumulate(map(param_count, dims), initial=0))
@@ -374,29 +433,33 @@ def _search(
     seeds = [params_from_unitary(u) for u in warm_bases]
     seeds += [np.concatenate(eigenbases), np.zeros(bounds[-1])]
     ranges = np.vstack([param_ranges(d) for d in dims])
-    val, x, trace = _multistart_minimize(at_params, ranges, cfg, seeds)
+    val, x, trace = _multistart_minimize(at_params, ranges, cfg, seeds, bound)
     found = tuple(measurement_from_params(x[c], d) for c, d in charts)
     return QuantumnessResult(val, found if len(found) > 1 else found[0], trace)
 
 
 def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase under a rank-one measurement on A."""
-    return _search(rho, _deficit_objective(rho), cfg)
+    return _search(rho, _deficit_objective(rho), _entropic_bound(rho), cfg)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss under a rank-one measurement on A."""
-    return _search(rho, _discord_objective(rho), cfg)
+    return _search(rho, _discord_objective(rho), _entropic_bound(rho, (0,)), cfg)
 
 
 def deficit_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase when both sides are measured."""
-    return _search(rho, _zero_way_deficit_objective(rho), cfg, sites=(0, 1))
+    return _search(
+        rho, _zero_way_deficit_objective(rho), _entropic_bound(rho), cfg, sites=(0, 1)
+    )
 
 
 def discord_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss when both sides are measured."""
-    return _search(rho, _zero_way_discord_objective(rho), cfg, sites=(0, 1))
+    return _search(
+        rho, _zero_way_discord_objective(rho), _entropic_bound(rho), cfg, sites=(0, 1)
+    )
 
 
 def relent_to_cq(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
@@ -433,7 +496,10 @@ def _lifted_deficit(
     _measured_dims(lifted, (0,))     # refuse before the unlifted search runs
     base = deficit_one_way(rho, cfg)
     warm = lift(base.argmin_measurement.basis)
-    return _search(lifted, _deficit_objective(lifted), cfg, warm_bases=[warm])
+    return _search(
+        lifted, _deficit_objective(lifted), _entropic_bound(lifted), cfg,
+        warm_bases=[warm],
+    )
 
 
 def generalized_deficit(

@@ -67,6 +67,15 @@ def cc_state(rng, d_a=2, d_b=2):
     return rf.DensityMatrix(m, (d_a, d_b))
 
 
+def maximally_correlated(a):
+    """sum_ij a_ij |ii><jj| for a d x d density matrix a, on d x d."""
+    d = len(a)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    diagonal = np.arange(d) * (d + 1)       # the index of |ii>
+    m[np.ix_(diagonal, diagonal)] = a
+    return rf.DensityMatrix(m, (d, d))
+
+
 def apply_local(rho, u_a, u_b):
     """Conjugate a bipartite state by a product unitary."""
     w = np.kron(u_a, u_b)

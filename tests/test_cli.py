@@ -11,7 +11,7 @@ import pytest
 import resourceforge as rf
 import resourceforge.io as rfio
 from resourceforge.cli import main
-from helpers import bell
+from helpers import bell, random_bipartite
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -118,6 +118,42 @@ class TestFileFormats:
             path = write_json(tmp_path / "bad.json", bad)
             with pytest.raises(rfio.FileFormatError):
                 rfio.load_optimizer_config(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (5, "M: expected a non-empty list of rows"),
+            ([], "M: expected a non-empty list of rows"),
+            ([[[1, 0]], []], "M: row 1 is not a non-empty list"),
+            ([[[1, 0]], 7], "M: row 1 is not a non-empty list"),
+            ([[[1, 0], [0, 0]], [[0, 0]]], "M: row 1 has ragged length"),
+            ([[[1, 0], [0]]], "M: entry (0,1) must be a [re, im] pair"),
+            ([[[1, 0], [0, 0, 0]]], "M: entry (0,1) must be a [re, im] pair"),
+            ([[[1, 0], "ab"]], "M: entry (0,1) must be a [re, im] pair"),
+            ([[[0.5, 0], [True, 0]]], "M (0,1) re: expected a number, got True"),
+            ([[[1, 0], [0, False]]], "M (0,1) im: expected a number, got False"),
+            ([[[True, False]]], "M (0,0) re: expected a number, got True"),
+            ([[[1, 0], ["1", 0]]], "M (0,1) re: expected a number, got '1'"),
+            ([[[1, 0], [None, 0]]], "M (0,1) re: expected a number, got None"),
+            ([[[1, 0], [[1], 0]]], "M (0,1) re: expected a number, got [1]"),
+            ([[[1, 0], [1e400, 0]]], "M (0,1) re: non-finite number"),
+            ([[[1, 0], [0, -1e400]]], "M (0,1) im: non-finite number"),
+        ],
+    )
+    def test_matrix_rejections_name_the_first_bad_entry(self, rows, message):
+        with pytest.raises(rfio.FileFormatError) as info:
+            rfio.matrix_from_json(rows, "M")
+        assert str(info.value) == message
+
+    def test_matrix_parse_is_exact(self):
+        # integers, signed zeros and the largest integer a double holds
+        rows = [[[1, 0], [-0.0, 2.5]], [[2**53, -0.0], [0.1, -1e-300]]]
+        m = rfio.matrix_from_json(json.loads(json.dumps(rows)))
+        expected = np.array(
+            [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
+        )
+        assert m.dtype == np.complex128
+        assert m.tobytes() == expected.tobytes()
 
     def test_script_file(self, tmp_path):
         path = write_json(
@@ -256,7 +292,32 @@ class TestCliOptimizers:
         result = json.loads(out)
         assert result["value_bits"] == pytest.approx(1.0, abs=1e-3)
         assert "basis" in result["measurement"]
-        assert len(result["trace"]) == 5  # restarts plus the polish entry
+        # the eigenbasis seed, the first evaluated, meets the bound S(A) - S(AB)
+        assert result["trace"] == [[0, result["value_bits"]]]
+
+    def test_deficit_trace_on_a_random_state(self, capsys, tmp_path):
+        state = state_file(tmp_path, random_bipartite(4))
+        code, out, _ = run(
+            capsys,
+            ["deficit", "--state", state, "--restarts", "4", "--grid", "4",
+             "--seed", "7"],
+        )
+        assert code == 0
+        assert len(json.loads(out)["trace"]) == 5  # restarts plus the polish entry
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--tol", "inf", "tolerance must be positive and finite, got inf"),
+            ("--tol", "nan", "tolerance must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_optimizer_flag_exit_2(self, capsys, bell_file, flag, value, message):
+        code, out, err = run(capsys, ["deficit", "--state", bell_file, flag, value])
+        assert code == 2
+        assert out == ""
+        assert err == f"ValueError: {message}\n"
 
     @pytest.mark.parametrize(
         "command", ["discord", "deficit0", "discord0", "relent-cq", "relent-cc"]

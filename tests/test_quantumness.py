@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 import resourceforge as rf
@@ -9,6 +11,7 @@ from helpers import (
     bell,
     cc_state,
     cq_state,
+    maximally_correlated,
     random_bipartite,
     random_measurement,
     random_unitary,
@@ -248,6 +251,63 @@ class TestBellDiagonalClosedForms:
         assert rf.deficit_one_way(rho, FAST).value == pytest.approx(expected, abs=1e-6)
         assert rf.relent_to_cq(rho, FAST).value == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_way_forms_match_closed_forms(self, seed):
+        # measuring B as well costs nothing more: the optimal A basis leaves
+        # B's conditional states diagonal in one common basis
+        rho, c = _bell_diagonal_case(seed)
+        expected = _bell_diagonal_deficit(rho, c)
+        assert rf.deficit_zero_way(rho, FAST).value == pytest.approx(expected, abs=1e-6)
+        assert rf.relent_to_cc(rho, FAST).value == pytest.approx(expected, abs=1e-6)
+        assert rf.discord_zero_way(rho, FAST).value == pytest.approx(
+            _luo_discord(c), abs=1e-6
+        )
+
+
+def _maximally_correlated_case(d, seed, uniform=False):
+    """sum_ij a_ij |ii><jj| in a random local frame, and H(diag a) - S(rho).
+
+    Measuring both sides in the frame's basis leaves diag a, which meets the
+    entropic bound S(A) - S(AB) = H(diag a) - S(rho): so this is the value
+    of the one-way and zero-way deficits and of both relative entropies.
+    With ``uniform`` the diagonal of a is flat, the marginals are maximally
+    mixed, and their eigenbases say nothing: only the search finds the basis.
+    """
+    rng = np.random.default_rng(seed)
+    if uniform:
+        phi = np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d)
+        p = rng.uniform(0.3, 0.9)
+        a = (1 - p) * np.eye(d) / d + p * np.outer(phi, phi.conj())
+    else:
+        a = rf.random_density(d, d, seed).matrix
+    rho = apply_local(
+        maximally_correlated(a), random_unitary(d, rng), random_unitary(d, rng)
+    )
+    return rho, -sum(_xlog2x(x) for x in np.diag(a).real) - rf.vn_entropy(rho)
+
+
+_DEFICIT_FORMS = ("deficit_one_way", "deficit_zero_way", "relent_to_cq", "relent_to_cc")
+
+
+class TestMaximallyCorrelatedClosedForms:
+    @pytest.mark.parametrize("d, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_deficit_forms(self, d, seed):
+        rho, expected = _maximally_correlated_case(d, seed)
+        for name in _DEFICIT_FORMS:
+            value = getattr(rf, name)(rho, FAST).value
+            assert value == pytest.approx(expected, abs=1e-6), name
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_uniform_diagonal(self, seed):
+        # the zero-way search over 12 angles needs the default budget here
+        cfg = rf.OptimizerConfig(seed=seed)
+        rho, expected = _maximally_correlated_case(3, seed, uniform=True)
+        for name in _DEFICIT_FORMS:
+            value = getattr(rf, name)(rho, cfg).value
+            assert value == pytest.approx(expected, abs=1e-6), name
+        # the one-way search met the bound after a restart, before the polish
+        assert len(rf.deficit_one_way(rho, cfg).trace) <= cfg.restarts
+
 
 class TestGeneralizedDeficit:
     def test_extra_dim_zero_matches_one_way(self):
@@ -447,6 +507,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             rf.OptimizerConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("tolerance", float("inf")), ("tolerance", float("nan"))],
+    )
+    def test_refused_with_the_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            rf.OptimizerConfig(**{field: value})
+
     def test_determinism(self):
         rho = random_bipartite(33)
         a = rf.deficit_one_way(rho, FAST)
@@ -462,3 +530,117 @@ class TestOptimizerConfig:
             rho = random_bipartite(seed + 140)
             assert rf.deficit_one_way(rho, FAST).value >= -1e-9
             assert rf.discord(rho, FAST).value >= -1e-9
+
+
+def _entropies(rho):
+    return tuple(
+        rf.vn_entropy(x)
+        for x in (rho, rf.partial_trace(rho, [0]), rf.partial_trace(rho, [1]))
+    )
+
+
+def _bound(rho, name):
+    """The entropic lower bound of each optimised quantity, per copy."""
+    s_ab, s_a, s_b = _entropies(rho)
+    if name == "discord":
+        return max(0.0, s_a - s_ab)
+    return max(0.0, s_a - s_ab, s_b - s_ab)
+
+
+_OPTIMISED = {
+    "deficit_one_way": rf.deficit_one_way,
+    "discord": rf.discord,
+    "deficit_zero_way": rf.deficit_zero_way,
+    "discord_zero_way": rf.discord_zero_way,
+    "relent_to_cq": rf.relent_to_cq,
+    "relent_to_cc": rf.relent_to_cc,
+    "generalized_deficit": lambda rho, cfg: rf.generalized_deficit(rho, 1, cfg),
+    "multicopy_deficit": lambda rho, cfg: rf.multicopy_deficit(rho, 2, cfg),
+}
+
+_OBJECTIVES = {
+    "deficit_one_way": quantumness._deficit_objective,
+    "discord": quantumness._discord_objective,
+    "deficit_zero_way": quantumness._zero_way_deficit_objective,
+    "discord_zero_way": quantumness._zero_way_discord_objective,
+}
+
+
+class TestEntropicStop:
+    """A search stops once it is within 1e-12 bits of its entropic bound."""
+
+    @pytest.mark.parametrize("name", _OPTIMISED)
+    @settings(max_examples=3, deadline=None)
+    @given(
+        d_a=st.sampled_from([2, 3]),
+        rank=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_never_below_the_bound(self, name, d_a, rank, seed):
+        rho = random_bipartite(seed, d_a, 2, min(rank, 2 * d_a))
+        result = _OPTIMISED[name](rho, FAST)
+        value = getattr(result, "value", result)
+        assert value >= _bound(rho, name) - 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multistart_alone_reaches_free_states(self, seed):
+        # the structured seeds already meet the bound on free states, so
+        # check the lattice and restarts without them
+        rng = np.random.default_rng(seed)
+        cfg = rf.OptimizerConfig(seed=seed)
+        for rho, sites in ((cq_state(rng), (0,)), (cc_state(rng), (0, 1))):
+            objective, n = _chart_objective(rho, sites)
+            ranges = np.vstack([rf.param_ranges(2)] * len(sites))
+            bound = quantumness._entropic_bound(rho)
+            value, _, trace = quantumness._multistart_minimize(
+                objective, ranges, cfg, (), bound
+            )
+            assert value <= 1e-6
+            assert value == min(v for _, v in trace)
+
+    def test_pure_state_stops_at_its_first_seed(self):
+        rho = random_bipartite(5, 3, 3, rank=1)
+        res = rf.deficit_one_way(rho, FAST)
+        assert res.value == pytest.approx(_entropies(rho)[1], abs=1e-12)
+        assert res.trace == [(0, res.value)]
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            ("cq", ("deficit_one_way", "discord")),
+            ("cc", tuple(_OBJECTIVES)),
+            ("pure", tuple(_OBJECTIVES)),
+            ("bell", tuple(_OBJECTIVES)),
+        ],
+    )
+    def test_stopped_search(self, kind, names):
+        rng = np.random.default_rng(3)
+        rho = {
+            "cq": lambda: cq_state(rng, 3, 2),
+            "cc": lambda: cc_state(rng),
+            "pure": lambda: random_bipartite(6, 2, 3, rank=1),
+            "bell": lambda: apply_local(
+                bell(), random_unitary(2, rng), random_unitary(2, rng)
+            ),
+        }[kind]()
+        for name in names:
+            res = _OPTIMISED[name](rho, FAST)
+            assert len(res.trace) <= FAST.restarts, name    # no polish entry
+            assert res.value <= _bound(rho, name) + 1e-12, name
+            assert res.value == min(v for _, v in res.trace), name
+            measured = res.argmin_measurement
+            if not isinstance(measured, tuple):
+                measured = (measured,)
+            at_argmin = _OBJECTIVES[name](rho)(*(m.basis for m in measured))
+            assert at_argmin == res.value, name
+
+    def test_unreached_bound_changes_nothing(self):
+        rho = random_bipartite(3)
+        objective, n = _chart_objective(rho, (0,))
+        args = (objective, rf.param_ranges(2), FAST, [np.zeros(n)])
+        plain = quantumness._multistart_minimize(*args)
+        bound = quantumness._entropic_bound(rho)
+        bounded = quantumness._multistart_minimize(*args, bound)
+        assert bounded[0] > bound + 1e-12
+        assert plain[0] == bounded[0] and plain[2] == bounded[2]
+        assert plain[1].tobytes() == bounded[1].tobytes()
