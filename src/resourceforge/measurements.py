@@ -11,7 +11,6 @@ and only projector relabeling is redundant.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .errors import (
 from .states import CONSTRUCTION_TOL, DensityMatrix, _conjugate_site, require_bipartite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectiveMeasurement:
     """Complete family of rank-one projectors P_i = |b_i><b_i|."""
 
@@ -79,16 +78,20 @@ def unitary_from_params(params, d: int) -> np.ndarray:
         raise ParamCountMismatch(
             f"expected {param_count(d)} parameters for dimension {d}, got {p.size}"
         )
-    # each Givens factor mixes two columns only; on lists of Python complex
-    # numbers that costs less than array updates at the dimensions searched
-    cols = np.eye(d).tolist()
-    pairs = p.reshape(-1, 2).tolist()
-    for (i, j, _col), (theta, phi) in zip(_elimination_sequence(d), pairs):
-        c, s = math.cos(theta), math.sin(theta) * cmath.exp(1j * phi)
-        col_i, col_j = cols[i], cols[j]
-        cols[i] = [c * x + s.conjugate() * y for x, y in zip(col_i, col_j)]
-        cols[j] = [c * y - s * x for x, y in zip(col_i, col_j)]
-    return np.array(cols, dtype=np.complex128).T
+    return _unitaries_from_params(p[None], d)[0]
+
+
+def _unitaries_from_params(params: np.ndarray, d: int) -> np.ndarray:
+    """The chart on an (N, d(d - 1)) stack of angle vectors: (N, d, d)."""
+    u = np.tile(np.eye(d, dtype=np.complex128), (len(params), 1, 1))
+    c = np.cos(params[:, 0::2])
+    s = np.sin(params[:, 0::2]) * np.exp(1j * params[:, 1::2])
+    # each Givens factor mixes two columns
+    for k, (i, j, _col) in enumerate(_elimination_sequence(d)):
+        ck, sk = c[:, k, None], s[:, k, None]
+        col_i, col_j = u[:, :, i], u[:, :, j]
+        u[:, :, i], u[:, :, j] = ck * col_i + sk.conj() * col_j, ck * col_j - sk * col_i
+    return u
 
 
 def params_from_unitary(u) -> np.ndarray:

@@ -1,23 +1,41 @@
 """Discord, one-way and zero-way deficits, their relative-entropy twins,
 isometry-extended and two-copy variants.
 
-Each quantity has one objective of the measured basis columns, shared by
-its fixed and optimised forms.  Every minimisation runs one search,
-``_search``, over the measured sites: a grid-seeded multi-start Nelder-Mead
-simplex over the angle chart of ``resourceforge.measurements``, followed
-by a short polish from the best point.  The simplex, ``minimize``, is this
-module's own and needs numpy only; it repeats scipy's Nelder-Mead step for
-step, so its iterates are bit-identical to scipy's.  A one-level side has
-no angles, and the search returns the objective at the identity.
-Structured starting points are always included, in particular the local
-eigenbasis of the measured marginal, which makes the minimum vanish
-identically on classical-quantum (or classical-classical) states.
-Restarts are reduced in restart-index order, so results are deterministic
-for a fixed seed regardless of how evaluations are scheduled.
+Each quantity has one objective of the measured bases, shared by its fixed
+and optimised forms.  The objective is batched: it takes one (R, d, d)
+stack of bases per measured site and returns R values, and on request the
+Riemannian gradient of each on the unitary group.  Write df = -2 Re sum_i
+u_i^dag M_i du_i, for the columns u_i of a basis U and Hermitian M_i.
+Moving U to U exp(Omega), Omega skew-Hermitian, the gradient is G = A - A^dag
+with A[i, j] = u_i^dag M_i u_j, and df = -Re tr(G Omega).  For the one-way
+deficit, sum_i H(B_i) - S(rho) with B_i the block of rho left by outcome i,
+M_i[a, c] = tr(log2(B_i) R_ac), R_ac the (a, c) block of rho; the trace
+terms cancel because sum_i B_i = rho_B for every basis.  Discord subtracts
+log2(p_i) rho_A from each M_i.  In the zero-way forms the outcome weights
+q_ij are bilinear in the two sides' columns, so each side gets the same
+form with M summed over the other side's outcomes.  A column phase changes
+no value, and G has a zero diagonal.  Gradients take log2 of weights at
+least 2^-60, where the value counts every positive weight exactly.
+
+Every minimisation runs one search, ``_search``, over the measured sites.
+It evaluates its structured starts (warm bases, the eigenbases of the
+measured marginals, the identity) in one batched call, then a seeding
+lattice over the angle chart of ``resourceforge.measurements`` in batched
+calls of 64 points.  The lattice
+starts are taken in ascending value, skipping any point within
+``_START_DISTANCE`` of a start already chosen on every site, so that the
+starts spread over the basins.  Then ``minimize`` runs every start at once:
+a Barzilai-Borwein descent with a per-start Armijo backtrack and the
+retraction U <- U exp(-tau G) (Abrudan, Eriksson & Koivunen, IEEE TSP 56
+(2008) 1134; Wen & Yin, Math. Program. 142 (2013) 397).  A start stops when
+the norm of G is at most ``OptimizerConfig.tolerance``.  Every step acts
+row by row, so a start follows the same path whichever starts share its
+batch, and repeat runs are bit-identical.  A one-level side has no other
+basis than the identity, and the search returns the objective there.
 
 Every search also carries a lower bound on its objective that costs three
-entropies, and stops as soon as its best value is within ``_STOP_EPS``
-bits of it.  Measuring A in a basis leaves sum_i p_i |i><i| (x) rho_i, of
+entropies, and stops as soon as a value is within ``_STOP_EPS`` bits of it.
+Measuring A in a basis leaves sum_i p_i |i><i| (x) rho_i, of
 entropy H(p) + sum_i p_i S(rho_i).  That is at least S(sum_i p_i rho_i) =
 S(B), the entropy of a mixture being at most H(p) plus the mean entropy
 of its parts.  It is also at least S(A): p is the diagonal of rho_A in
@@ -29,7 +47,7 @@ does not bound it.  Each zero-way form is at least both of its one-way
 forms (measuring the second side only loses more), so both take the full
 deficit bound.  The bound is met on classical-quantum, classical-classical,
 pure and maximally correlated states; there the search usually ends at a
-structured seed or after its first restarts.  Since
+structured start.  Since
 S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
 relative-entropy twins run the deficit searches and certify their value at
 the argmin with ``resourceforge.oracles``.
@@ -45,14 +63,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .entropy import mutual_information, shannon_bits, vn_entropy
+from .entropy import mutual_information, vn_entropy
 from .measurements import (
     ProjectiveMeasurement,
-    measurement_from_params,
+    _unitaries_from_params,
     param_count,
     param_ranges,
-    params_from_unitary,
-    unitary_from_params,
 )
 from .oracles import relent_to_dephased, relent_to_doubly_dephased
 from .states import (
@@ -67,18 +83,24 @@ from .states import (
 
 _LATTICE_CAP = 4096         # full seeding lattice only up to this many points
 _STOP_EPS = 1e-12           # bits: a search stops this close to its lower bound
+_START_DISTANCE = 0.1       # lattice starts this close to a chosen one are skipped
 
-_Objective = Callable[..., float]   # of the measured columns (one or two sides)
+# An objective takes one (R, d, d) stack of bases per measured site and
+# returns R values; with ``gradient=True``, also one (R, d, d) stack of
+# Riemannian gradients per site.
+_Objective = Callable[..., "np.ndarray | tuple[np.ndarray, tuple[np.ndarray, ...]]"]
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for every measurement-basis search.
 
-    ``grid_points`` is the number of lattice values per angle used for
-    seeding; when the full lattice is too large it is subsampled at random
-    (deterministically from ``seed``).  ``tolerance`` is the simplex
-    convergence tolerance of each restart.
+    ``restarts`` is the number of starts of the descent.  ``grid_points`` is
+    the number of lattice values per chart angle used for seeding; when the
+    full lattice is too large it is subsampled at random (deterministically
+    from ``seed``).  ``max_iterations`` caps the descent steps of each start,
+    and ``tolerance`` is the norm of the Riemannian gradient at which a
+    start has converged.
     """
 
     restarts: int = 32
@@ -98,17 +120,18 @@ class OptimizerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(slots=True)
 class QuantumnessResult:
     """Minimised value in bits plus the argmin measurement and search trace.
 
-    ``trace`` holds (restart index, converged value) pairs; the final entry
-    is the polish run, and ``value`` is the minimum over the trace (for the
-    relative-entropy forms, only to rounding: see ``relent_to_cq``).  A
-    search that reaches its entropic lower bound stops there: at a
-    structured seed, the trace holds (seed index, value) for each seed
-    evaluated up to and including that one; after a restart, it holds the
-    restarts run so far and no polish entry.
+    ``trace`` holds (start index, final value) pairs, one per start of the
+    descent, then (number of starts, best value); ``value`` is the minimum
+    over the trace (for the relative-entropy forms, only to rounding: see
+    ``relent_to_cq``).  A search that reaches its entropic lower bound stops
+    there: at a structured start, the trace holds (start index, value) for
+    each structured start up to and including that one; after the descent,
+    it holds the starts up to the first one within the bound, and no final
+    entry.
     """
 
     value: float
@@ -128,81 +151,107 @@ def _check_side_a(rho: DensityMatrix, m: ProjectiveMeasurement) -> None:
         )
 
 
-def _blocks_after_measurement(
-    t: np.ndarray, columns: np.ndarray
-) -> np.ndarray:
-    # B_i = (<c_i| (x) I) rho (|c_i> (x) I) for each column c_i;
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the positive entries of each row (axis 0), as
+    ``shannon_bits`` counts one distribution."""
+    positive = p > 0.0
+    terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
+    return np.maximum(0.0, -terms.reshape(len(p), -1).sum(axis=1))
+
+
+def _log2_floored(p: np.ndarray) -> np.ndarray:
+    # gradients only: a weight below 2^-60 counts as 2^-60, not as log 0
+    return np.log2(np.maximum(p, 2.0 ** -60))
+
+
+def _blocks_after_measurement(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # B_i = (<u_i| (x) I) rho (|u_i> (x) I) for each column u_i of each basis;
     # for an orthonormal family these are the diagonal blocks of the
     # dephased state, whose joint spectrum is the union of block spectra.
-    return np.einsum("ai,abcd,ci->ibd", columns.conj(), t, columns)
+    return np.einsum("rai,abcd,rci->ribd", u.conj(), t, u)
 
 
-def _doubly_measured_probs(
-    t: np.ndarray, u_a: np.ndarray, u_b: np.ndarray
-) -> np.ndarray:
-    # both-sides dephasing leaves a diagonal state: q_ij = <b_i f_j|rho|b_i f_j>
-    return np.einsum(
-        "ai,bj,abcd,ci,dj->ij", u_a.conj(), u_b.conj(), t, u_a, u_b
-    ).real
+def _riemannian_gradient(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """G = A - A^dag, A[i, j] = u_i^dag M_i u_j, for df = -2 Re sum_i
+    u_i^dag M_i du_i (see the module docstring)."""
+    a = np.einsum("rai,riac,rcj->rij", u.conj(), m, u)
+    return a - a.conj().swapaxes(1, 2)
+
+
+def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
+    require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    s0 = vn_entropy(rho)
+    rho_a = partial_trace(rho, [0])
+    s_a = vn_entropy(rho_a)
+
+    def objective(u: np.ndarray, gradient: bool = False):
+        blocks = _blocks_after_measurement(t, u)
+        w, v = np.linalg.eigh(blocks)
+        value = _entropy_rows(w) - s0
+        if discord:
+            p = np.einsum("ribb->ri", blocks).real
+            value = value - (_entropy_rows(p) - s_a)
+        if not gradient:
+            return value
+        # M_i[a, c] = tr(log2(B_i) R_ac), R_ac the (a, c) block of rho
+        logs = (v * _log2_floored(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        m = np.einsum("abcd,ridb->riac", t, logs)
+        if discord:
+            m = m - _log2_floored(p)[..., None, None] * rho_a.matrix
+        return value, (_riemannian_gradient(u, m),)
+
+    return objective
+
+
+def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
+    require_bipartite(rho)
+    t = rho.matrix.reshape(rho.dims * 2)
+    s0 = vn_entropy(rho)
+    i_m = mutual_information(rho)
+
+    def objective(u_a: np.ndarray, u_b: np.ndarray, gradient: bool = False):
+        blocks = _blocks_after_measurement(t, u_a)
+        # both-sides dephasing leaves a diagonal state: q_ij = <a_i b_j|rho|a_i b_j>
+        q = np.einsum("rbj,ribd,rdj->rij", u_b.conj(), blocks, u_b).real
+        if discord:
+            q_a, q_b = q.sum(axis=2), q.sum(axis=1)
+            i_measured = _entropy_rows(q_a) + _entropy_rows(q_b) - _entropy_rows(q)
+            value = i_m - i_measured
+        else:
+            value = _entropy_rows(q) - s0
+        if not gradient:
+            return value
+        # df = -sum_ij w_ij dq_ij; M sums each side's conditional blocks by w
+        w = _log2_floored(q)
+        if discord:
+            w = w - _log2_floored(q_a)[:, :, None] - _log2_floored(q_b)[:, None, :]
+        given_b = np.einsum("rbj,abcd,rdj->rjac", u_b.conj(), t, u_b)
+        m_a = np.einsum("rij,rjac->riac", w, given_b)
+        m_b = np.einsum("rij,ribd->rjbd", w, blocks)
+        return value, (_riemannian_gradient(u_a, m_a), _riemannian_gradient(u_b, m_b))
+
+    return objective
 
 
 def _deficit_objective(rho: DensityMatrix) -> _Objective:
-    """S(rho') - S(rho) of the basis measured on A."""
-    require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
-    s0 = vn_entropy(rho)
-
-    def objective(basis: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, basis)
-        return shannon_bits(np.linalg.eigvalsh(blocks)) - s0
-
-    return objective
+    """S(rho') - S(rho) of the bases measured on A."""
+    return _one_way_objective(rho, discord=False)
 
 
 def _discord_objective(rho: DensityMatrix) -> _Objective:
-    """Mutual-information loss of the basis measured on A."""
-    require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
-    s0 = vn_entropy(rho)
-    s_a = vn_entropy(partial_trace(rho, [0]))
-
-    def objective(basis: np.ndarray) -> float:
-        blocks = _blocks_after_measurement(t, basis)
-        s_prime = shannon_bits(np.linalg.eigvalsh(blocks))
-        s_a_prime = shannon_bits(np.einsum("ibb->i", blocks).real)
-        return (s_prime - s0) - (s_a_prime - s_a)
-
-    return objective
+    """Mutual-information loss of the bases measured on A."""
+    return _one_way_objective(rho, discord=True)
 
 
 def _zero_way_deficit_objective(rho: DensityMatrix) -> _Objective:
     """S(rho'') - S(rho) of the bases measured on A and B."""
-    require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
-    s0 = vn_entropy(rho)
-
-    def objective(u_a: np.ndarray, u_b: np.ndarray) -> float:
-        return shannon_bits(_doubly_measured_probs(t, u_a, u_b)) - s0
-
-    return objective
+    return _two_way_objective(rho, discord=False)
 
 
 def _zero_way_discord_objective(rho: DensityMatrix) -> _Objective:
     """I(rho) - I(rho'') of the bases measured on A and B."""
-    require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
-    i_m = mutual_information(rho)
-
-    def objective(u_a: np.ndarray, u_b: np.ndarray) -> float:
-        q = _doubly_measured_probs(t, u_a, u_b)
-        i_measured = (
-            shannon_bits(q.sum(axis=1))
-            + shannon_bits(q.sum(axis=0))
-            - shannon_bits(q)
-        )
-        return i_m - i_measured
-
-    return objective
+    return _two_way_objective(rho, discord=True)
 
 
 def _entropic_bound(rho: DensityMatrix, sides: Sequence[int] = (0, 1)) -> float:
@@ -216,7 +265,7 @@ def _entropic_bound(rho: DensityMatrix, sides: Sequence[int] = (0, 1)) -> float:
 def deficit_one_way_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     """Entropy increase S(rho') - S(rho) for a fixed measurement on A."""
     _check_side_a(rho, m)
-    return _deficit_objective(rho)(m.basis)
+    return float(_deficit_objective(rho)(m.basis[None])[0])
 
 
 def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
@@ -226,165 +275,97 @@ def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     itself: [S(rho') - S(rho)] - [S(rho'_A) - S(rho_A)].
     """
     _check_side_a(rho, m)
-    return _discord_objective(rho)(m.basis)
+    return float(_discord_objective(rho)(m.basis[None])[0])
 
 
-class SimplexResult(NamedTuple):
-    """One simplex run: the best value and vertex, the iterations (counted
-    from 1), the objective evaluations, and whether it converged before the
-    iteration cap."""
+class Descent(NamedTuple):
+    """The final value and bases (one stack per site) of each start, the
+    iterations and objective rows evaluated, summed over the starts, and
+    whether every start converged."""
 
-    fun: float
-    x: np.ndarray
+    fun: np.ndarray
+    bases: tuple[np.ndarray, ...]
     nit: int
     nfev: int
     success: bool
 
 
+def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
+    """Re tr(x^dag y) summed over the sites, per row."""
+    return sum((x.conj() * y).real.sum(axis=(1, 2)) for x, y in zip(xs, ys))
+
+
+def _retract(u: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """U exp(-step G) for skew-Hermitian G, from the eigenvectors of iG."""
+    w, v = np.linalg.eigh(1j * g)
+    turn = (v * np.exp(1j * step[:, None] * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return u @ turn
+
+
 def minimize(
-    objective: Callable[[np.ndarray], float],
-    simplex: np.ndarray,
+    objective: _Objective,
+    starts: Sequence[np.ndarray],
     max_iterations: int,
-    xatol: float,
-    fatol: float,
-) -> SimplexResult:
-    """Nelder-Mead search from the (n + 1, n) vertices ``simplex``, n >= 1.
+    gtol: float,
+) -> Descent:
+    """Riemannian descent on U(d), one basis per site, from every start at once.
 
-    Step for step the Nelder-Mead of scipy 1.17 (``scipy.optimize.minimize``
-    with ``initial_simplex``, ``maxiter``, ``xatol``, ``fatol`` and
-    ``adaptive=n >= 6``), so its iterates are bit-identical to scipy's.
-    From 6 angles on it takes the dimension-adapted expansion, contraction
-    and shrink factors of Gao & Han, Comput. Optim. Appl. 51 (2012) 259.
-    It stops when every vertex lies within ``xatol`` of the best one in each
-    coordinate and within ``fatol`` of its value.
+    ``starts`` holds one (R, d, d) stack of bases per site.  Each iteration
+    moves every unfinished start to U exp(-tau G), with G its gradient.  The
+    step tau is Barzilai-Borwein, the long and the short form in turn,
+    turning at most one radian; a start whose step does not pass the Armijo
+    test halves it, up to 30 times.  A start converges once the norm of G is
+    at most ``gtol``, and stops unconverged at ``max_iterations`` steps or
+    when no halved step decreases its value.  Values only decrease, so a
+    start ends at its lowest value.  Every operation acts row by row, so a
+    start follows the same path whichever starts share its batch.
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    if n >= 6:
-        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    else:
-        chi, psi, sigma = 2, 0.5, 0.5
-    nfev = 0
-
-    def f(x: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(x)
-
-    def by_value(sim, fsim):
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
-
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    # sorted twice, as scipy does: argsort need not keep tied values in order
-    sim, fsim = by_value(*by_value(sim, fsim))
-    nit = 1
-    while nit < max_iterations:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    bases = [np.array(u, dtype=np.complex128) for u in starts]
+    fun, grads = objective(*bases, gradient=True)
+    nfev, nit = len(fun), 0
+    norm2 = _inner(grads, grads)
+    with np.errstate(divide="ignore"):
+        step = 1 / np.sqrt(norm2)
+    converged = norm2 <= gtol**2
+    active = np.flatnonzero(~converged)
+    for it in range(max_iterations):
+        if not active.size:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = [f(v) for v in sim[1:]]
-        nit += 1
-        sim, fsim = by_value(sim, fsim)
-    return SimplexResult(np.min(fsim), sim[0], nit, nfev, nit < max_iterations)
-
-
-def _multistart_minimize(
-    objective: Callable[[np.ndarray], float],
-    ranges: np.ndarray,
-    cfg: OptimizerConfig,
-    structured_seeds: Sequence[np.ndarray] = (),
-    bound: float = -math.inf,
-) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
-    """Grid-seeded multi-start simplex search; deterministic for fixed seed.
-
-    ``bound`` is a lower bound on ``objective``.  The structured seeds are
-    evaluated in order before the lattice, and the first within
-    ``_STOP_EPS`` of the bound is returned with the trace of the seeds so
-    far.  After each restart the best value is checked again, and once it
-    is within ``_STOP_EPS`` the remaining restarts and the polish are
-    skipped.  A search that never gets that close runs, and returns,
-    exactly as it would without a bound.
-    """
-    n = len(ranges)
-    if n == 0:      # a one-level side: its only basis is the identity
-        val = float(objective(np.zeros(0)))
-        return val, np.zeros(0), [(0, val)]
-
-    def simplex_search(x0, step, xatol, fatol):
-        simplex = np.vstack([x0, x0 + step * np.eye(n)])
-        res = minimize(objective, simplex, cfg.max_iterations, xatol, fatol)
-        return float(res.fun), res.x
-
-    rng = np.random.default_rng(cfg.seed)
-    axes = [
-        np.linspace(lo, hi, cfg.grid_points, endpoint=False)
-        for lo, hi in ranges
-    ]
-    if cfg.grid_points ** n <= max(_LATTICE_CAP, 4 * cfg.restarts):
-        # not meshgrid, which refuses more than 64 axes
-        candidates = np.array(list(itertools.product(*axes)))
-    else:
-        count = max(8 * cfg.restarts, 256)
-        idx = rng.integers(0, cfg.grid_points, size=(count, n))
-        candidates = np.stack(
-            [axes[k][idx[:, k]] for k in range(n)], axis=-1
-        )
-    seeds = [np.asarray(s, dtype=float).ravel() for s in structured_seeds]
-    for s in seeds:
-        if s.size != n:
-            raise ValueError(f"seed length {s.size} != parameter count {n}")
-    stop = bound + _STOP_EPS
-    seed_trace: list[tuple[int, float]] = []
-    for i, s in enumerate(seeds):
-        val = float(objective(s))
-        seed_trace.append((i, val))
-        if val <= stop:
-            return val, s, seed_trace
-    cand_vals = np.array([objective(c) for c in candidates])
-    order = np.argsort(cand_vals, kind="stable")
-    starts = seeds[: cfg.restarts]
-    for i in order[: max(0, cfg.restarts - len(starts))]:
-        starts.append(candidates[i])
-
-    trace: list[tuple[int, float]] = []
-    best_val, best_x = math.inf, starts[0]
-    for i, x0 in enumerate(starts):
-        val, x = simplex_search(x0, 0.35, cfg.tolerance, cfg.tolerance)
-        trace.append((i, val))
-        if val < best_val:
-            best_val, best_x = val, x
-        if best_val <= stop:
-            return best_val, best_x, trace
-    # polish: two short restarts from the incumbent with a tight simplex
-    for _ in range(2):
-        val, x = simplex_search(best_x, 0.02, 1e-8, 1e-12)
-        if val < best_val:
-            best_val, best_x = val, x
-    trace.append((len(starts), best_val))
-    return best_val, best_x, trace
+        nit += active.size
+        u, g = [b[active] for b in bases], [x[active] for x in grads]
+        f, gg, tau = fun[active], norm2[active], step[active]
+        new_u, new_g = [np.empty_like(x) for x in u], [np.empty_like(x) for x in g]
+        new_f = np.empty_like(f)
+        todo = np.arange(active.size)     # every row is tried at least once
+        for _ in range(30):
+            trial = [_retract(x[todo], y[todo], tau[todo]) for x, y in zip(u, g)]
+            trial_f, trial_g = objective(*trial, gradient=True)
+            nfev += todo.size
+            new_f[todo] = trial_f
+            for k in range(len(u)):
+                new_u[k][todo], new_g[k][todo] = trial[k], trial_g[k]
+            fails = trial_f > f[todo] - 1e-4 * tau[todo] * gg[todo]
+            todo = todo[fails]
+            if not todo.size:
+                break
+            tau[todo] /= 2
+        moved = np.ones(active.size, dtype=bool)
+        moved[todo] = False
+        y = [a - b for a, b in zip(new_g, g)]
+        sy = -tau * _inner(g, y)                # s = -tau G
+        new_norm2 = _inner(new_g, new_g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = (tau**2 * gg / sy) if it % 2 == 0 else (sy / _inner(y, y))
+            cap = 1 / np.sqrt(new_norm2)
+        new_tau = np.where(sy > 0, np.minimum(bb, cap), cap)
+        rows = active[moved]
+        for k in range(len(bases)):
+            bases[k][rows], grads[k][rows] = new_u[k][moved], new_g[k][moved]
+        fun[rows], norm2[rows], step[rows] = new_f[moved], new_norm2[moved], new_tau[moved]
+        done = new_norm2 <= gtol**2
+        converged[active[moved & done]] = True
+        active = active[moved & ~done]
+    return Descent(fun, tuple(bases), nit, nfev, bool(converged.all()))
 
 
 def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
@@ -397,6 +378,141 @@ def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
     return dims
 
 
+def _lattice(dims: Sequence[int], cfg: OptimizerConfig) -> list[np.ndarray]:
+    """The seeding lattice over all sites' chart angles, one (N, d, d) stack
+    per site: the full grid when it has at most max(_LATTICE_CAP,
+    4 restarts) points, else max(8 restarts, 256) grid points drawn from
+    ``cfg.seed``."""
+    axes = [
+        np.linspace(lo, hi, cfg.grid_points, endpoint=False)
+        for lo, hi in np.vstack([param_ranges(d) for d in dims])
+    ]
+    n = len(axes)
+    if cfg.grid_points ** n <= max(_LATTICE_CAP, 4 * cfg.restarts):
+        # not meshgrid, which refuses more than 64 axes
+        angles = np.array(list(itertools.product(*axes)))
+    else:
+        count = max(8 * cfg.restarts, 256)
+        idx = np.random.default_rng(cfg.seed).integers(0, cfg.grid_points, size=(count, n))
+        angles = np.stack([axes[k][idx[:, k]] for k in range(n)], axis=-1)
+    cuts = np.cumsum([param_count(d) for d in dims])[:-1]
+    return [
+        _unitaries_from_params(p, d)
+        for p, d in zip(np.split(angles, cuts, axis=1), dims)
+    ]
+
+
+def _distance(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """1 - sum_ij |<u_i|v_j>|^4 / d for each basis v of ``stack``: 0 exactly
+    when both measure the same projectors, whatever their columns' phases
+    or order.  On a qubit it is sin^2(theta) / 2 for Bloch axes theta apart."""
+    overlaps = np.abs(u.conj().T @ stack) ** 2
+    return 1 - (overlaps**2).sum(axis=(1, 2)) / len(u)
+
+
+def _diverse_picks(
+    lattice: Sequence[np.ndarray],
+    order: np.ndarray,
+    chosen: Sequence[Sequence[np.ndarray]],
+    count: int,
+) -> np.ndarray:
+    """``count`` lattice indices to start from after the ``chosen`` starts
+    (each one basis per site).
+
+    Walking the lattice in ``order`` (ascending value), a point is skipped
+    when on every site it lies within ``_START_DISTANCE`` of a start already
+    chosen, so the starts spread over the basins.  Places left are filled
+    with the lowest points not yet taken.
+    """
+    near = np.zeros(len(order), dtype=bool)
+
+    def mark(bases):
+        close = [_distance(u, site) < _START_DISTANCE for u, site in zip(bases, lattice)]
+        np.logical_or(near, np.logical_and.reduce(close), out=near)
+
+    for bases in chosen:
+        mark(bases)
+    picks = []
+    while len(picks) < count:
+        free = order[~near[order]]
+        if not free.size:
+            break
+        picks.append(free[0])
+        mark([site[free[0]] for site in lattice])
+    rest = order[~np.isin(order, picks)]
+    return np.concatenate([np.array(picks, dtype=int), rest[: count - len(picks)]])
+
+
+def _result(value: float, bases: Sequence[np.ndarray], trace) -> QuantumnessResult:
+    found = tuple(ProjectiveMeasurement(len(u), u) for u in bases)
+    return QuantumnessResult(value, found if len(found) > 1 else found[0], trace)
+
+
+def _multistart(
+    objective: _Objective,
+    dims: Sequence[int],
+    cfg: OptimizerConfig,
+    structured: Sequence[Sequence[np.ndarray]] = (),
+    bound: float = -math.inf,
+) -> QuantumnessResult:
+    """Minimise ``objective`` over one basis per site of dimensions ``dims``.
+
+    ``structured`` holds starts of one basis per site.  They are evaluated
+    first, in one batched call; then the seeding lattice, from which the
+    starts after them are picked (see ``_diverse_picks``) up to
+    ``cfg.restarts``.  ``minimize`` then runs all starts.
+
+    ``bound`` is a lower bound on ``objective``.  The first structured start
+    within ``_STOP_EPS`` bits of it ends the search.  After the descent, the
+    trace walks the starts in order and ends at the first one within that
+    distance; so a stopped value lies within it of the true minimum.
+    ``value`` is the minimum over the trace and the objective at the
+    returned bases.  A search whose sites have one level each returns the
+    objective at the identity.
+    """
+    if not any(map(param_count, dims)):
+        identity = [np.eye(d, dtype=np.complex128) for d in dims]
+        value = float(objective(*(u[None] for u in identity))[0])
+        return _result(value, identity, [(0, value)])
+    stop = bound + _STOP_EPS
+    seeds = [
+        np.array([bases[s] for bases in structured], dtype=np.complex128).reshape(-1, d, d)
+        for s, d in enumerate(dims)
+    ]
+    if structured:
+        values = objective(*seeds).tolist()
+        for k, value in enumerate(values):
+            if value <= stop:
+                trace = list(enumerate(values[: k + 1]))
+                return _result(value, [site[k] for site in seeds], trace)
+    chosen = structured[: cfg.restarts]
+    starts = [site[: cfg.restarts] for site in seeds]
+    places = cfg.restarts - len(chosen)
+    if places > 0:
+        lattice = _lattice(dims, cfg)
+        # 64 rows at a time: the same values, as rows are independent, but
+        # never the eigenvectors of the whole lattice in memory at once
+        values = np.concatenate([
+            objective(*(site[k : k + 64] for site in lattice))
+            for k in range(0, len(lattice[0]), 64)
+        ])
+        order = np.argsort(values, kind="stable")
+        picks = _diverse_picks(lattice, order, chosen, places)
+        starts = [np.concatenate([s, site[picks]]) for s, site in zip(starts, lattice)]
+    found = minimize(objective, starts, cfg.max_iterations, cfg.tolerance)
+    values = found.fun.tolist()
+    best = 0
+    for k, value in enumerate(values):
+        if value < values[best]:
+            best = k
+        if values[best] <= stop:
+            trace = list(enumerate(values[: k + 1]))
+            break
+    else:
+        trace = list(enumerate(values)) + [(len(values), values[best])]
+    return _result(values[best], [site[best] for site in found.bases], trace)
+
+
 def _search(
     rho: DensityMatrix,
     objective: _Objective,
@@ -405,37 +521,20 @@ def _search(
     sites: Sequence[int] = (0,),
     warm_bases: Sequence[np.ndarray] = (),
 ) -> QuantumnessResult:
-    """Minimise ``objective`` over one basis per measured site.
+    """Minimise ``objective`` over one basis per measured site of ``rho``.
 
-    The angle vector holds each site's chart angles in ``sites`` order, and
-    the objective takes one basis per site in the same order.  Structured
-    starts come first: the warm bases (one-site searches only), then the
-    eigenbases of the measured marginals, then the zero angles.  The
+    The objective takes one stack of bases per site, in ``sites`` order.
+    The structured starts are, in order: the warm bases (one-site searches
+    only), the eigenbases of the measured marginals, the identity.  The
     argmin is one measurement, or a tuple of them for several sites.
-
     ``bound`` is a certified lower bound on ``objective``, an
-    ``_entropic_bound`` of the searched state.  The search stops once its
-    best value is within ``_STOP_EPS`` bits of it, so a stopped value lies
-    within that distance of the true minimum; ``value`` is still the
-    minimum over the trace and the objective at the returned basis.
+    ``_entropic_bound`` of the searched state (see ``_multistart``).
     """
     dims = _measured_dims(rho, sites)
-    bounds = list(itertools.accumulate(map(param_count, dims), initial=0))
-    charts = [(slice(lo, hi), d) for lo, hi, d in zip(bounds, bounds[1:], dims)]
-
-    def at_params(p: np.ndarray) -> float:
-        return objective(*[unitary_from_params(p[c], d) for c, d in charts])
-
-    eigenbases = [
-        params_from_unitary(np.linalg.eigh(partial_trace(rho, [s]).matrix)[1])
-        for s in sites
-    ]
-    seeds = [params_from_unitary(u) for u in warm_bases]
-    seeds += [np.concatenate(eigenbases), np.zeros(bounds[-1])]
-    ranges = np.vstack([param_ranges(d) for d in dims])
-    val, x, trace = _multistart_minimize(at_params, ranges, cfg, seeds, bound)
-    found = tuple(measurement_from_params(x[c], d) for c, d in charts)
-    return QuantumnessResult(val, found if len(found) > 1 else found[0], trace)
+    eigenbases = tuple(np.linalg.eigh(partial_trace(rho, [s]).matrix)[1] for s in sites)
+    identity = tuple(np.eye(d, dtype=np.complex128) for d in dims)
+    structured = [*((u,) for u in warm_bases), eigenbases, identity]
+    return _multistart(objective, dims, cfg, structured, bound)
 
 
 def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:

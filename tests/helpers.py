@@ -91,6 +91,35 @@ def random_isometry(rows, cols, rng):
     return random_unitary(rows, rng)[:, :cols]
 
 
+# Two random 2x2 states from the benchmark's generator, pasted exactly.  On
+# each, the searches' lowest lattice points all lie in one basin, so a search
+# started from those points alone misses the global minimum.
+# perfbench seed 12, round 7, task 9: one-way deficit 0.2857406 (the
+# benchmark's Bloch-grid bound is 0.28581377).
+TWO_COPY_PAIR = np.array([
+    [0.3864736622654553 + 0.0j, -0.23904611319838712 + 0.021529776260401867j,
+     0.05846454790174811 - 0.17174167904436421j, -0.002783180637127356 - 0.049852424849892406j],
+    [-0.23904611319838712 - 0.021529776260401867j, 0.3197217381218313 + 0.0j,
+     -0.03531778012951973 - 0.003452258386222047j, -0.03526350930160067 - 0.015050630294804839j],
+    [0.05846454790174811 + 0.17174167904436421j, -0.03531778012951973 + 0.003452258386222047j,
+     0.20846495231748752 + 0.0j, 0.014606797020240344 - 0.01474827137094374j],
+    [-0.002783180637127356 + 0.049852424849892406j, -0.03526350930160067 + 0.015050630294804839j,
+     0.014606797020240344 + 0.01474827137094374j, 0.08533964729522579 + 0.0j],
+])
+# perfbench seed 7, round 58, task 3: zero-way deficit 0.2108076 (the
+# two-sided grid bound is 0.21122430).
+ZERO_WAY_PAIR = np.array([
+    [0.19047051598058198 + 0.0j, -0.04837239964846404 + 0.045925049815884945j,
+     -0.03900559585873827 - 0.14564358210818454j, 0.01525887966198389 - 0.05051539994175177j],
+    [-0.04837239964846404 - 0.045925049815884945j, 0.20876599240958707 + 0.0j,
+     0.0037983876399775626 + 0.08921837292089707j, -0.03530429013263945 - 0.08757867464100541j],
+    [-0.03900559585873827 + 0.14564358210818454j, 0.0037983876399775626 - 0.08921837292089707j,
+     0.3402523628260898 + 0.0j, 0.1321422077620148 - 0.04578959322370094j],
+    [0.01525887966198389 + 0.05051539994175177j, -0.03530429013263945 + 0.08757867464100541j,
+     0.1321422077620148 + 0.04578959322370094j, 0.2605111287837412 + 0.0j],
+])
+
+
 # Kronecker-built references for the site-local contractions: each builds
 # the full-size operator I (x) op (x) I and conjugates the whole matrix.
 

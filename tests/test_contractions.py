@@ -1,8 +1,11 @@
 """Site-local contractions and the relative-entropy certifiers, checked
-against Kronecker-built references and closed forms over random states,
-and the two gauge identities the measurement search relies on."""
+against Kronecker-built references and closed forms over random states;
+the two gauge identities the measurement search relies on; and the batched
+objectives: their values against plain numpy, their gradients against
+finite differences, and each row independent of its batch."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from resourceforge.quantumness import (
     _discord_objective,
     _zero_way_deficit_objective,
     _zero_way_discord_objective,
+    minimize,
 )
 from helpers import (
     kron_embed,
@@ -127,10 +131,12 @@ def test_objectives_ignore_column_phases(dims, seed):
     v_b = u_b * np.exp(2j * np.pi * rng.random(dims[1]))
     for one_sided in (_deficit_objective, _discord_objective):
         objective = one_sided(rho)
-        assert abs(objective(v_a) - objective(u_a)) <= 1e-12
+        assert abs(objective(v_a[None])[0] - objective(u_a[None])[0]) <= 1e-12
     for two_sided in (_zero_way_deficit_objective, _zero_way_discord_objective):
         objective = two_sided(rho)
-        assert abs(objective(v_a, v_b) - objective(u_a, u_b)) <= 1e-12
+        assert abs(
+            objective(v_a[None], v_b[None])[0] - objective(u_a[None], u_b[None])[0]
+        ) <= 1e-12
 
 
 @PROPERTY
@@ -152,3 +158,103 @@ def test_embedding_is_absorbed_by_the_measurement(dims, extra, seed):
     in_rotated = rf.deficit_one_way_fixed(padded, rf.ProjectiveMeasurement(d_ap, rotated))
     assert abs(in_u - at_v) <= 1e-12
     assert abs(in_rotated - at_v) <= 1e-12
+
+
+_OBJECTIVES = {
+    "deficit_one_way": (_deficit_objective, 1),
+    "discord": (_discord_objective, 1),
+    "deficit_zero_way": (_zero_way_deficit_objective, 2),
+    "discord_zero_way": (_zero_way_discord_objective, 2),
+}
+
+
+def _bases(objective_name, dims, rng, count=None):
+    """Random bases for the objective's measured sites, one stack per site."""
+    sites = _OBJECTIVES[objective_name][1]
+    return [
+        np.stack([random_unitary(dims[s], rng) for _ in range(count or 1)])
+        for s in range(sites)
+    ]
+
+
+def _skew(d, rng):
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return x - x.conj().T
+
+
+def _turned(u, omega, angle):
+    """u exp(angle * omega) for skew-Hermitian omega."""
+    w, v = np.linalg.eigh(1j * omega)
+    return u @ (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+@PROPERTY
+@given(
+    dims=DIMS,
+    rank=st.integers(1, 9),
+    name=st.sampled_from(sorted(_OBJECTIVES)),
+    seed=SEEDS,
+)
+def test_gradient_matches_finite_differences(dims, rank, name, seed):
+    # df along U -> U exp(t Omega) is -Re tr(G Omega), for every site at once
+    rho = random_bipartite(seed, *dims, rank=min(rank, dims[0] * dims[1]))
+    rng = np.random.default_rng(seed + 1)
+    objective = _OBJECTIVES[name][0](rho)
+    bases = _bases(name, dims, rng)
+    omegas = [_skew(u.shape[1], rng) for u in bases]
+    _, grads = objective(*bases, gradient=True)
+    slope = -sum(np.trace(g[0] @ om).real for g, om in zip(grads, omegas))
+    h = 1e-5
+
+    def at(t):
+        return objective(*(_turned(u[0], om, t)[None] for u, om in zip(bases, omegas)))[0]
+
+    central = (at(h) - at(-h)) / (2 * h)
+    assert abs(central - slope) <= 1e-6 * max(1.0, abs(slope))
+    for g in grads:
+        assert np.array_equal(g, -g.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVES))
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_rows_do_not_depend_on_their_batch(name, dims):
+    # a start evaluated, or run through the whole descent, alone gives the
+    # same bits as its row in a batch of 32
+    rho = random_bipartite(3, *dims)
+    objective = _OBJECTIVES[name][0](rho)
+    bases = _bases(name, dims, np.random.default_rng(1), count=32)
+    values, grads = objective(*bases, gradient=True)
+    batch = minimize(objective, bases, 500, 1e-6)
+    for r in (0, 13, 31):
+        alone = [u[r : r + 1] for u in bases]
+        value, grad = objective(*alone, gradient=True)
+        assert value[0].tobytes() == values[r].tobytes()
+        assert all(a[0].tobytes() == b[r].tobytes() for a, b in zip(grad, grads))
+        run = minimize(objective, alone, 500, 1e-6)
+        assert run.fun[0].tobytes() == batch.fun[r].tobytes()
+        assert all(a[0].tobytes() == b[r].tobytes() for a, b in zip(run.bases, batch.bases))
+
+
+def _discord_at(rho, columns):
+    """Mutual-information loss for A measured with the columns, in plain numpy."""
+    d_a, d_b = rho.dims
+    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    blocks = np.einsum("ai,ajbk,bi->ijk", columns.conj(), t, columns)
+    p = np.einsum("ijj->i", blocks).real
+    rho_a = np.einsum("ajbj->ab", t)
+    return (
+        _deficit_at(rho, columns)
+        - _bits(p)
+        + _bits(np.linalg.eigvalsh(rho_a))
+    )
+
+
+@PROPERTY
+@given(dims=DIMS, seed=SEEDS)
+def test_fixed_forms_match_plain_numpy(dims, seed):
+    # the fixed forms are the batched objectives at R = 1
+    rho, rng = _state_and_rng(dims, seed)
+    u = random_unitary(dims[0], rng)
+    m = rf.ProjectiveMeasurement(dims[0], u)
+    assert abs(rf.deficit_one_way_fixed(rho, m) - _deficit_at(rho, u)) <= 1e-12
+    assert abs(rf.discord_fixed(rho, m) - _discord_at(rho, u)) <= 1e-12

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize as scipy_minimize
 
 import resourceforge as rf
 from resourceforge import quantumness
 from helpers import (
+    TWO_COPY_PAIR,
+    ZERO_WAY_PAIR,
     apply_local,
     bell,
     cc_state,
@@ -299,14 +300,43 @@ class TestMaximallyCorrelatedClosedForms:
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_uniform_diagonal(self, seed):
-        # the zero-way search over 12 angles needs the default budget here
-        cfg = rf.OptimizerConfig(seed=seed)
         rho, expected = _maximally_correlated_case(3, seed, uniform=True)
-        for name in _DEFICIT_FORMS:
-            value = getattr(rf, name)(rho, cfg).value
-            assert value == pytest.approx(expected, abs=1e-6), name
-        # the one-way search met the bound after a restart, before the polish
-        assert len(rf.deficit_one_way(rho, cfg).trace) <= cfg.restarts
+        for cfg in (FAST, rf.OptimizerConfig(seed=seed)):
+            for name in _DEFICIT_FORMS:
+                value = getattr(rf, name)(rho, cfg).value
+                assert value == pytest.approx(expected, abs=1e-6), name
+            # the one-way search met the bound after the descent, with no
+            # final entry
+            assert len(rf.deficit_one_way(rho, cfg).trace) <= cfg.restarts
+
+
+class TestBasinDiverseStarts:
+    """Lattice starts spread over the basins: on these states the lowest
+    lattice points all lie in one basin that is not the global one."""
+
+    def test_one_way_finds_the_lower_basin(self):
+        rho = rf.DensityMatrix(TWO_COPY_PAIR, (2, 2))
+        res = rf.deficit_one_way(rho, rf.OptimizerConfig(restarts=8))
+        assert res.value <= 0.28581377 + 1e-6
+
+    def test_zero_way_finds_the_lower_basin(self):
+        rho = rf.DensityMatrix(ZERO_WAY_PAIR, (2, 2))
+        res = rf.deficit_zero_way(rho, rf.OptimizerConfig(restarts=8))
+        assert res.value <= 0.21122430 + 1e-6
+
+    def test_starts_keep_their_distance(self):
+        # no two lattice starts measure nearly the same projectors
+        rho = random_bipartite(2)
+        objective = quantumness._deficit_objective(rho)
+        cfg = rf.OptimizerConfig(restarts=8)
+        lattice = quantumness._lattice([2], cfg)
+        order = np.argsort(objective(*lattice), kind="stable")
+        picks = quantumness._diverse_picks(lattice, order, [], 8)
+        chosen = lattice[0][picks]
+        for k, u in enumerate(chosen):
+            others = np.delete(chosen, k, axis=0)
+            assert quantumness._distance(u, others).min() >= quantumness._START_DISTANCE
+        assert picks[0] == order[0]
 
 
 class TestGeneralizedDeficit:
@@ -434,72 +464,6 @@ class TestOneLevelSide:
         assert rf.multicopy_deficit(rho, 2, FAST) == 0.0
 
 
-def _chart_objective(rho, sites):
-    """The deficit objective of ``rho`` (one-way for one site, zero-way for
-    two) as a function of the measured sites' chart angles."""
-    dims = [rho.dims[s] for s in sites]
-    counts = [rf.param_count(d) for d in dims]
-    objective = (
-        quantumness._deficit_objective(rho)
-        if len(sites) == 1
-        else quantumness._zero_way_deficit_objective(rho)
-    )
-
-    def at(p):
-        parts = np.split(p, np.cumsum(counts)[:-1])
-        return objective(*map(rf.unitary_from_params, parts, dims))
-
-    return at, sum(counts)
-
-
-class TestSimplex:
-    """The in-package Nelder-Mead against scipy's, the reference it copies."""
-
-    @pytest.mark.parametrize(
-        "dims, sites, max_iterations, converges",
-        [
-            ((2, 2), (0,), 500, True),          # 2 angles
-            ((2, 2), (0, 1), 500, True),        # 4 angles
-            ((3, 2), (0,), 500, True),          # 6 angles: Gao-Han parameters
-            ((3, 3), (0, 1), 500, False),       # 12 angles, stops at the cap
-            ((3, 3), (0, 1), 5, False),
-            ((2, 2), (0,), 5, False),
-        ],
-    )
-    def test_bit_identical_to_scipy(self, dims, sites, max_iterations, converges):
-        objective, n = _chart_objective(random_bipartite(1, *dims), sites)
-        self._check(objective, n, max_iterations, converges)
-
-    def test_shrink_step(self):
-        # the maximally mixed state's objective is flat, so contractions fail
-        objective, n = _chart_objective(rf.maximally_mixed((2, 2)), (0,))
-        res = self._check(objective, n, 500, True)
-        assert res.nfev > (n + 1) + 2 * (res.nit - 1)   # some step cost n + 2
-
-    @staticmethod
-    def _check(objective, n, max_iterations, converges):
-        x0 = np.linspace(0.1, 1.0, n)
-        simplex = np.vstack([x0, x0 + 0.35 * np.eye(n)])
-        res = quantumness.minimize(objective, simplex, max_iterations, 1e-6, 1e-6)
-        ref = scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-6,
-                "fatol": 1e-6,
-                "maxiter": max_iterations,
-                "adaptive": n >= 6,
-            },
-        )
-        assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
-        assert res.x.tobytes() == ref.x.tobytes()
-        assert (res.nit, res.nfev, res.success) == (ref.nit, ref.nfev, ref.success)
-        assert res.success == converges
-        return res
-
-
 class TestOptimizerConfig:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
@@ -584,19 +548,17 @@ class TestEntropicStop:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_multistart_alone_reaches_free_states(self, seed):
-        # the structured seeds already meet the bound on free states, so
-        # check the lattice and restarts without them
+        # the structured starts already meet the bound on free states, so
+        # check the lattice and the descent without them
         rng = np.random.default_rng(seed)
         cfg = rf.OptimizerConfig(seed=seed)
-        for rho, sites in ((cq_state(rng), (0,)), (cc_state(rng), (0, 1))):
-            objective, n = _chart_objective(rho, sites)
-            ranges = np.vstack([rf.param_ranges(2)] * len(sites))
+        for rho, name in ((cq_state(rng), "deficit_one_way"), (cc_state(rng), "deficit_zero_way")):
+            objective = _OBJECTIVES[name](rho)
+            dims = [2] * (1 if name == "deficit_one_way" else 2)
             bound = quantumness._entropic_bound(rho)
-            value, _, trace = quantumness._multistart_minimize(
-                objective, ranges, cfg, (), bound
-            )
-            assert value <= 1e-6
-            assert value == min(v for _, v in trace)
+            res = quantumness._multistart(objective, dims, cfg, (), bound)
+            assert res.value <= 1e-6
+            assert res.value == min(v for _, v in res.trace)
 
     def test_pure_state_stops_at_its_first_seed(self):
         rho = random_bipartite(5, 3, 3, rank=1)
@@ -631,16 +593,18 @@ class TestEntropicStop:
             measured = res.argmin_measurement
             if not isinstance(measured, tuple):
                 measured = (measured,)
-            at_argmin = _OBJECTIVES[name](rho)(*(m.basis for m in measured))
-            assert at_argmin == res.value, name
+            at_argmin = _OBJECTIVES[name](rho)(*(m.basis[None] for m in measured))
+            assert at_argmin[0] == res.value, name
 
     def test_unreached_bound_changes_nothing(self):
         rho = random_bipartite(3)
-        objective, n = _chart_objective(rho, (0,))
-        args = (objective, rf.param_ranges(2), FAST, [np.zeros(n)])
-        plain = quantumness._multistart_minimize(*args)
+        args = (quantumness._deficit_objective(rho), [2], FAST, [(np.eye(2),)])
+        plain = quantumness._multistart(*args)
         bound = quantumness._entropic_bound(rho)
-        bounded = quantumness._multistart_minimize(*args, bound)
-        assert bounded[0] > bound + 1e-12
-        assert plain[0] == bounded[0] and plain[2] == bounded[2]
-        assert plain[1].tobytes() == bounded[1].tobytes()
+        bounded = quantumness._multistart(*args, bound)
+        assert bounded.value > bound + 1e-12
+        assert plain.value == bounded.value and plain.trace == bounded.trace
+        assert (
+            plain.argmin_measurement.basis.tobytes()
+            == bounded.argmin_measurement.basis.tobytes()
+        )
