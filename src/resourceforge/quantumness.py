@@ -21,17 +21,21 @@ Every minimisation runs one search, ``_search``, over the measured sites.
 It evaluates its structured starts (warm bases, the eigenbases of the
 measured marginals, the identity) in one batched call, then a seeding
 lattice over the angle chart of ``resourceforge.measurements`` in batched
-calls of 64 points.  The lattice
-starts are taken in ascending value, skipping any point within
-``_START_DISTANCE`` of a start already chosen on every site, so that the
-starts spread over the basins.  Then ``minimize`` runs every start at once:
-a Barzilai-Borwein descent with a per-start Armijo backtrack and the
-retraction U <- U exp(-tau G) (Abrudan, Eriksson & Koivunen, IEEE TSP 56
-(2008) 1134; Wen & Yin, Math. Program. 142 (2013) 397).  A start stops when
-the norm of G is at most ``OptimizerConfig.tolerance``.  Every step acts
-row by row, so a start follows the same path whichever starts share its
-batch, and repeat runs are bit-identical.  A one-level side has no other
-basis than the identity, and the search returns the objective there.
+calls of 64 points; the lattice depends only on the sites and the config,
+and the last few are cached.  The lattice starts are taken in ascending
+value, skipping any point within ``_START_DISTANCE`` of a start already
+chosen on every site, so that the starts spread over the basins.  Then
+``minimize`` runs every start at once: a Barzilai-Borwein descent with the
+retraction U <- U exp(-tau G) and a per-start backtrack on the nonmonotone
+test of Zhang & Hager (SIAM J. Optim. 14 (2004) 1043), as in Wen & Yin,
+Math. Program. 142 (2013) 397 (see also Abrudan, Eriksson & Koivunen, IEEE
+TSP 56 (2008) 1134).  A value may rise on the way, so each start keeps the
+lowest value it reached.  A start stops when the norm of G is at most
+``OptimizerConfig.tolerance``.  The objectives contract rho, reshaped once
+per objective, with one small gemm per row.  Every step acts row by row,
+so a start follows the same path whichever starts share its batch, and
+repeat runs are bit-identical.  A one-level side has no other basis than
+the identity, and the search returns the objective there.
 
 Every search also carries a lower bound on its objective that costs three
 entropies, and stops as soon as a value is within ``_STOP_EPS`` bits of it.
@@ -55,6 +59,7 @@ the argmin with ``resourceforge.oracles``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -84,6 +89,7 @@ from .states import (
 _LATTICE_CAP = 4096         # full seeding lattice only up to this many points
 _STOP_EPS = 1e-12           # bits: a search stops this close to its lower bound
 _START_DISTANCE = 0.1       # lattice starts this close to a chosen one are skipped
+_NONMONOTONE = 0.85         # weight of the past in the descent's reference value
 
 # An objective takes one (R, d, d) stack of bases per measured site and
 # returns R values; with ``gradient=True``, also one (R, d, d) stack of
@@ -164,41 +170,60 @@ def _log2_floored(p: np.ndarray) -> np.ndarray:
     return np.log2(np.maximum(p, 2.0 ** -60))
 
 
-def _blocks_after_measurement(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # B_i = (<u_i| (x) I) rho (|u_i> (x) I) for each column u_i of each basis;
-    # for an orthonormal family these are the diagonal blocks of the
-    # dephased state, whose joint spectrum is the union of block spectra.
-    return np.einsum("rai,abcd,rci->ribd", u.conj(), t, u)
+def _ordered_pairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho as T[(a, c), (b, d)] = <a b|rho|c d>, and its transpose, each a
+    contiguous (dA^2, dB^2) or (dB^2, dA^2) matrix for the gemm contractions."""
+    d_a, d_b = rho.dims
+    t = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    t = np.ascontiguousarray(t.reshape(d_a * d_a, d_b * d_b))
+    return t, np.ascontiguousarray(t.T)
+
+
+def _projectors(u: np.ndarray) -> np.ndarray:
+    """P[r, i, (a, c)] = conj(u[r, a, i]) u[r, c, i], the projector onto each
+    column u_i flattened, so that P @ T contracts it with rho."""
+    r, d, _ = u.shape
+    cols = u.swapaxes(1, 2)
+    return (cols.conj()[:, :, :, None] * cols[:, :, None, :]).reshape(r, d, d * d)
 
 
 def _riemannian_gradient(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """G = A - A^dag, A[i, j] = u_i^dag M_i u_j, for df = -2 Re sum_i
-    u_i^dag M_i du_i (see the module docstring)."""
-    a = np.einsum("rai,riac,rcj->rij", u.conj(), m, u)
+    u_i^dag M_i du_i (see the module docstring); ``m`` holds M_i[a, c] as
+    m[r, i, (a, c)]."""
+    r, d, _ = u.shape
+    rows = u.conj().swapaxes(1, 2)[:, :, None, :] @ m.reshape(r, d, d, d)
+    a = rows[:, :, 0, :] @ u
     return a - a.conj().swapaxes(1, 2)
 
 
 def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
     require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
+    t, t_swapped = _ordered_pairs(rho)
+    d_b = rho.dims[1]
     s0 = vn_entropy(rho)
     rho_a = partial_trace(rho, [0])
     s_a = vn_entropy(rho_a)
 
     def objective(u: np.ndarray, gradient: bool = False):
-        blocks = _blocks_after_measurement(t, u)
+        # B_i = (<u_i| (x) I) rho (|u_i> (x) I) for each column u_i of each
+        # basis; for an orthonormal family these are the diagonal blocks of
+        # the dephased state, whose joint spectrum is the union of block spectra
+        flat = _projectors(u) @ t
+        blocks = flat.reshape(len(u), -1, d_b, d_b)
         w, v = np.linalg.eigh(blocks)
         value = _entropy_rows(w) - s0
         if discord:
-            p = np.einsum("ribb->ri", blocks).real
+            p = flat[:, :, :: d_b + 1].sum(axis=2).real
             value = value - (_entropy_rows(p) - s_a)
         if not gradient:
             return value
-        # M_i[a, c] = tr(log2(B_i) R_ac), R_ac the (a, c) block of rho
-        logs = (v * _log2_floored(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        m = np.einsum("abcd,ridb->riac", t, logs)
+        # M_i[a, c] = tr(log2(B_i) R_ac), R_ac the (a, c) block of rho; the
+        # transpose of log2(B_i) pairs (b, d) with T's column order
+        logs_t = (v.conj() * _log2_floored(w)[..., None, :]) @ v.swapaxes(-1, -2)
+        m = logs_t.reshape(len(u), -1, d_b * d_b) @ t_swapped
         if discord:
-            m = m - _log2_floored(p)[..., None, None] * rho_a.matrix
+            m = m - _log2_floored(p)[..., None] * rho_a.matrix.reshape(-1)
         return value, (_riemannian_gradient(u, m),)
 
     return objective
@@ -206,14 +231,15 @@ def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
 
 def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
     require_bipartite(rho)
-    t = rho.matrix.reshape(rho.dims * 2)
+    t, t_swapped = _ordered_pairs(rho)
     s0 = vn_entropy(rho)
     i_m = mutual_information(rho)
 
     def objective(u_a: np.ndarray, u_b: np.ndarray, gradient: bool = False):
-        blocks = _blocks_after_measurement(t, u_a)
+        blocks = _projectors(u_a) @ t
+        p_b = _projectors(u_b)
         # both-sides dephasing leaves a diagonal state: q_ij = <a_i b_j|rho|a_i b_j>
-        q = np.einsum("rbj,ribd,rdj->rij", u_b.conj(), blocks, u_b).real
+        q = (blocks @ p_b.swapaxes(1, 2)).real
         if discord:
             q_a, q_b = q.sum(axis=2), q.sum(axis=1)
             i_measured = _entropy_rows(q_a) + _entropy_rows(q_b) - _entropy_rows(q)
@@ -226,9 +252,9 @@ def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
         w = _log2_floored(q)
         if discord:
             w = w - _log2_floored(q_a)[:, :, None] - _log2_floored(q_b)[:, None, :]
-        given_b = np.einsum("rbj,abcd,rdj->rjac", u_b.conj(), t, u_b)
-        m_a = np.einsum("rij,rjac->riac", w, given_b)
-        m_b = np.einsum("rij,ribd->rjbd", w, blocks)
+        given_b = p_b @ t_swapped
+        m_a = w @ given_b
+        m_b = w.swapaxes(1, 2) @ blocks
         return value, (_riemannian_gradient(u_a, m_a), _riemannian_gradient(u_b, m_b))
 
     return objective
@@ -279,9 +305,9 @@ def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
 
 
 class Descent(NamedTuple):
-    """The final value and bases (one stack per site) of each start, the
-    iterations and objective rows evaluated, summed over the starts, and
-    whether every start converged."""
+    """The lowest value each start reached and its bases there (one stack
+    per site), the iterations and objective rows evaluated, summed over the
+    starts, and whether every start converged."""
 
     fun: np.ndarray
     bases: tuple[np.ndarray, ...]
@@ -295,11 +321,13 @@ def _inner(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
     return sum((x.conj() * y).real.sum(axis=(1, 2)) for x, y in zip(xs, ys))
 
 
-def _retract(u: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """U exp(-step G) for skew-Hermitian G, from the eigenvectors of iG."""
-    w, v = np.linalg.eigh(1j * g)
-    turn = (v * np.exp(1j * step[:, None] * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return u @ turn
+def _turned(turns: Sequence[tuple], tau: np.ndarray, rows) -> list[np.ndarray]:
+    """U exp(-tau G) = (U V) diag(exp(i tau w)) V^dag at ``rows``, from each
+    site's (U V, w, V^dag), where iG = V diag(w) V^dag."""
+    return [
+        (uv[rows] * np.exp(1j * tau[rows, None, None] * w[rows, None, :])) @ vh[rows]
+        for uv, w, vh in turns
+    ]
 
 
 def minimize(
@@ -311,60 +339,89 @@ def minimize(
     """Riemannian descent on U(d), one basis per site, from every start at once.
 
     ``starts`` holds one (R, d, d) stack of bases per site.  Each iteration
-    moves every unfinished start to U exp(-tau G), with G its gradient.  The
-    step tau is Barzilai-Borwein, the long and the short form in turn,
-    turning at most one radian; a start whose step does not pass the Armijo
-    test halves it, up to 30 times.  A start converges once the norm of G is
-    at most ``gtol``, and stops unconverged at ``max_iterations`` steps or
-    when no halved step decreases its value.  Values only decrease, so a
-    start ends at its lowest value.  Every operation acts row by row, so a
-    start follows the same path whichever starts share its batch.
+    moves every unfinished start to U exp(-tau G), with G its gradient,
+    built from one ``eigh`` of iG that serves every trial step.  The step
+    tau is Barzilai-Borwein, the long and the short form in turn, turning at
+    most one radian.  A step is accepted by the nonmonotone test of Zhang &
+    Hager against the reference value C, a running mean of the start's
+    values weighted by ``_NONMONOTONE`` (Wen & Yin's Algorithm 2); a start
+    whose step fails it halves the step, up to 30 times.  A start converges
+    once the norm of G is at most ``gtol``, and stops unconverged at
+    ``max_iterations`` steps or when no halved step passes.  Its value may
+    rise on the way, so each start returns the lowest value it reached and
+    the bases there.  Only the unfinished starts are carried from one
+    iteration to the next.  Every operation acts row by row, so a start
+    follows the same path whichever starts share its batch.
     """
-    bases = [np.array(u, dtype=np.complex128) for u in starts]
-    fun, grads = objective(*bases, gradient=True)
-    nfev, nit = len(fun), 0
-    norm2 = _inner(grads, grads)
+    u = [np.array(x, dtype=np.complex128) for x in starts]
+    f, g = objective(*u, gradient=True)
+    nfev, nit = len(f), 0
+    gg = _inner(g, g)
     with np.errstate(divide="ignore"):
-        step = 1 / np.sqrt(norm2)
-    converged = norm2 <= gtol**2
-    active = np.flatnonzero(~converged)
+        tau = 1 / np.sqrt(gg)
+    fun, bases = f, u
+    converged = gg <= gtol**2
+    # the working set: the unfinished starts, their lowest values and bases,
+    # and the Zhang-Hager reference value C and its weight Q
+    rows = np.flatnonzero(~converged)
+    u, g = [x[rows] for x in u], [x[rows] for x in g]
+    gg, tau = gg[rows], tau[rows]
+    best_f, best_u = f[rows], [x.copy() for x in u]
+    ref, weight = best_f.copy(), np.ones(rows.size)
     for it in range(max_iterations):
-        if not active.size:
+        if not rows.size:
             break
-        nit += active.size
-        u, g = [b[active] for b in bases], [x[active] for x in grads]
-        f, gg, tau = fun[active], norm2[active], step[active]
-        new_u, new_g = [np.empty_like(x) for x in u], [np.empty_like(x) for x in g]
-        new_f = np.empty_like(f)
-        todo = np.arange(active.size)     # every row is tried at least once
-        for _ in range(30):
-            trial = [_retract(x[todo], y[todo], tau[todo]) for x, y in zip(u, g)]
+        nit += rows.size
+        turns = []
+        for x, y in zip(u, g):
+            w, v = np.linalg.eigh(1j * y)
+            turns.append((x @ v, w, v.conj().swapaxes(1, 2)))
+        new_u = _turned(turns, tau, slice(None))
+        new_f, new_g = objective(*new_u, gradient=True)
+        nfev += rows.size
+        todo = np.flatnonzero(new_f > ref - 1e-4 * tau * gg)
+        for _ in range(29):                 # up to 30 trials in all
+            if not todo.size:
+                break
+            tau[todo] /= 2
+            trial = _turned(turns, tau, todo)
             trial_f, trial_g = objective(*trial, gradient=True)
             nfev += todo.size
             new_f[todo] = trial_f
             for k in range(len(u)):
                 new_u[k][todo], new_g[k][todo] = trial[k], trial_g[k]
-            fails = trial_f > f[todo] - 1e-4 * tau[todo] * gg[todo]
-            todo = todo[fails]
-            if not todo.size:
-                break
-            tau[todo] /= 2
-        moved = np.ones(active.size, dtype=bool)
+            todo = todo[trial_f > ref[todo] - 1e-4 * tau[todo] * gg[todo]]
+        moved = np.ones(rows.size, dtype=bool)
         moved[todo] = False
         y = [a - b for a, b in zip(new_g, g)]
         sy = -tau * _inner(g, y)                # s = -tau G
-        new_norm2 = _inner(new_g, new_g)
+        new_gg = _inner(new_g, new_g)
         with np.errstate(divide="ignore", invalid="ignore"):
             bb = (tau**2 * gg / sy) if it % 2 == 0 else (sy / _inner(y, y))
-            cap = 1 / np.sqrt(new_norm2)
-        new_tau = np.where(sy > 0, np.minimum(bb, cap), cap)
-        rows = active[moved]
-        for k in range(len(bases)):
-            bases[k][rows], grads[k][rows] = new_u[k][moved], new_g[k][moved]
-        fun[rows], norm2[rows], step[rows] = new_f[moved], new_norm2[moved], new_tau[moved]
-        done = new_norm2 <= gtol**2
-        converged[active[moved & done]] = True
-        active = active[moved & ~done]
+            cap = 1 / np.sqrt(new_gg)
+        tau = np.where(sy > 0, np.minimum(bb, cap), cap)
+        lower = moved & (new_f < best_f)
+        best_f[lower] = new_f[lower]
+        for k in range(len(u)):
+            best_u[k][lower] = new_u[k][lower]
+        past = _NONMONOTONE * weight
+        weight = past + 1
+        ref = (past * ref + new_f) / weight
+        done = moved & (new_gg <= gtol**2)
+        stay = moved & ~done
+        if not stay.all():
+            converged[rows[done]] = True
+            fun[rows[~stay]] = best_f[~stay]
+            for k in range(len(u)):
+                bases[k][rows[~stay]] = best_u[k][~stay]
+            rows, tau, ref, weight = rows[stay], tau[stay], ref[stay], weight[stay]
+            new_u, new_g = [x[stay] for x in new_u], [x[stay] for x in new_g]
+            new_gg = new_gg[stay]
+            best_f, best_u = best_f[stay], [x[stay] for x in best_u]
+        u, g, gg = new_u, new_g, new_gg
+    fun[rows] = best_f
+    for k in range(len(u)):
+        bases[k][rows] = best_u[k]
     return Descent(fun, tuple(bases), nit, nfev, bool(converged.all()))
 
 
@@ -378,11 +435,17 @@ def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
     return dims
 
 
-def _lattice(dims: Sequence[int], cfg: OptimizerConfig) -> list[np.ndarray]:
-    """The seeding lattice over all sites' chart angles, one (N, d, d) stack
-    per site: the full grid when it has at most max(_LATTICE_CAP,
-    4 restarts) points, else max(8 restarts, 256) grid points drawn from
-    ``cfg.seed``."""
+def _lattice(dims: Sequence[int], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
+    """The seeding lattice over all sites' chart angles, one read-only
+    (N, d, d) stack per site: the full grid when it has at most
+    max(_LATTICE_CAP, 4 restarts) points, else max(8 restarts, 256) grid
+    points drawn from ``cfg.seed``.  It depends on neither the state nor the
+    objective, so the last few are kept."""
+    return _cached_lattice(tuple(dims), cfg)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_lattice(dims: tuple[int, ...], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
     axes = [
         np.linspace(lo, hi, cfg.grid_points, endpoint=False)
         for lo, hi in np.vstack([param_ranges(d) for d in dims])
@@ -396,18 +459,23 @@ def _lattice(dims: Sequence[int], cfg: OptimizerConfig) -> list[np.ndarray]:
         idx = np.random.default_rng(cfg.seed).integers(0, cfg.grid_points, size=(count, n))
         angles = np.stack([axes[k][idx[:, k]] for k in range(n)], axis=-1)
     cuts = np.cumsum([param_count(d) for d in dims])[:-1]
-    return [
+    stacks = tuple(
         _unitaries_from_params(p, d)
         for p, d in zip(np.split(angles, cuts, axis=1), dims)
-    ]
+    )
+    for stack in stacks:
+        stack.flags.writeable = False
+    return stacks
 
 
 def _distance(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """1 - sum_ij |<u_i|v_j>|^4 / d for each basis v of ``stack``: 0 exactly
     when both measure the same projectors, whatever their columns' phases
-    or order.  On a qubit it is sin^2(theta) / 2 for Bloch axes theta apart."""
-    overlaps = np.abs(u.conj().T @ stack) ** 2
-    return 1 - (overlaps**2).sum(axis=(1, 2)) / len(u)
+    or order.  On a qubit it is sin^2(theta) / 2 for Bloch axes theta apart.
+    One gemm over the stack laid side by side."""
+    d = len(u)
+    overlaps = np.abs(u.conj().T @ stack.swapaxes(0, 1).reshape(d, -1)) ** 2
+    return 1 - (overlaps**2).reshape(d, len(stack), d).sum(axis=(0, 2)) / d
 
 
 def _diverse_picks(

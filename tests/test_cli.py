@@ -439,8 +439,13 @@ class TestBlasThreadCount:
     ):
         rho = rf.random_density(4, 4, 3)
         state = state_file(tmp_path, rf.DensityMatrix(rho.matrix, (2, 2)))
+        qutrits = state_file(tmp_path, random_bipartite(7, 3, 3), "qutrits.json")
+        search = ["--restarts", "4", "--grid", "4"]
+        # the searches' objectives contract rho with BLAS gemm calls
         commands = [
-            ["relent-cq", "--state", state, "--restarts", "4", "--grid", "4"],
+            ["relent-cq", "--state", state, *search],
+            ["deficit0", "--state", state, *search],
+            ["deficit", "--state", qutrits, *search],
             ["protocol", "--state", bell_file, "--script", cnot_script],
         ]
         outputs = {}

@@ -2,7 +2,8 @@
 against Kronecker-built references and closed forms over random states;
 the two gauge identities the measurement search relies on; and the batched
 objectives: their values against plain numpy, their gradients against
-finite differences, and each row independent of its batch."""
+finite differences, and each row independent of its batch; the descent's
+contract; and the seeding lattice's cache and distance."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resourceforge as rf
+from resourceforge import quantumness
 from resourceforge.oracles import relent_to_dephased, relent_to_doubly_dephased
 from resourceforge.quantumness import (
     _deficit_objective,
@@ -233,6 +235,59 @@ def test_rows_do_not_depend_on_their_batch(name, dims):
         run = minimize(objective, alone, 500, 1e-6)
         assert run.fun[0].tobytes() == batch.fun[r].tobytes()
         assert all(a[0].tobytes() == b[r].tobytes() for a, b in zip(run.bases, batch.bases))
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVES))
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_descent_returns_each_starts_lowest_value(name, dims):
+    # the nonmonotone test may accept a rise, so each start keeps its lowest
+    # point: the value returned is the objective there, bit for bit, and no
+    # start ends above where it began
+    rho = random_bipartite(4, *dims)
+    objective, sites = _OBJECTIVES[name]
+    cfg = rf.OptimizerConfig(restarts=6, grid_points=5)
+    starts = [site[::7][:24] for site in quantumness._lattice(dims[:sites], cfg)]
+    run = minimize(objective(rho), starts, 400, 1e-6)
+    assert run.fun.tobytes() == objective(rho)(*run.bases).tobytes()
+    assert np.all(run.fun <= objective(rho)(*starts))
+    assert isinstance(run.nit, int) and isinstance(run.nfev, int)
+
+
+class TestLattice:
+    def test_equal_keys_share_read_only_arrays(self):
+        first = quantumness._lattice((2, 2), rf.OptimizerConfig(restarts=6, grid_points=5))
+        again = quantumness._lattice([2, 2], rf.OptimizerConfig(restarts=6, grid_points=5))
+        assert again is first
+        for stack in first:
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0
+
+    def test_seed_and_grid_points_change_it(self):
+        # a 3-level side has 6 angles: 12^6 points is past the full-grid
+        # cap, so the lattice is drawn from the seed
+        base = quantumness._lattice([3], rf.OptimizerConfig(seed=0))[0]
+        reseeded = quantumness._lattice([3], rf.OptimizerConfig(seed=1))[0]
+        assert base.shape == reseeded.shape and not np.array_equal(base, reseeded)
+        coarse = quantumness._lattice([2], rf.OptimizerConfig(grid_points=5))[0]
+        fine = quantumness._lattice([2], rf.OptimizerConfig(grid_points=6))[0]
+        assert (len(coarse), len(fine)) == (25, 36)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_distance_is_the_projector_overlap(self, d):
+        rng = np.random.default_rng(d)
+        u = random_unitary(d, rng)
+        stack = np.stack([random_unitary(d, rng) for _ in range(5)] + [u[:, ::-1]])
+        explicit = [
+            1 - sum(
+                abs(np.vdot(u[:, i], v[:, j])) ** 4 for i in range(d) for j in range(d)
+            ) / d
+            for v in stack
+        ]
+        np.testing.assert_allclose(
+            quantumness._distance(u, stack), explicit, rtol=0, atol=1e-14
+        )
+        assert abs(quantumness._distance(u, stack)[-1]) <= 1e-14
 
 
 def _discord_at(rho, columns):

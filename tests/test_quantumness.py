@@ -163,6 +163,46 @@ class TestZeroWayOptimized:
             assert one <= zero + 1e-3
 
 
+_SEARCHES = ("discord", "deficit_one_way", "deficit_zero_way", "discord_zero_way")
+_STATES = dict(
+    d_a=st.sampled_from([2, 3]),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+class TestSearchProperties:
+    """Invariants of the four searched quantities on random (2, 2) and
+    (3, 2) states of any rank."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(**_STATES)
+    def test_ordering(self, d_a, rank, seed):
+        # each inequality holds pointwise in the bases: dropping S(rho'_A) -
+        # S(rho_A) >= 0 from a deficit gives discord, and measuring B as well
+        # only adds entropy
+        rho = random_bipartite(seed, d_a, 2, min(rank, 2 * d_a))
+        v = {name: getattr(rf, name)(rho, FAST).value for name in _SEARCHES}
+        assert v["discord"] <= v["deficit_one_way"] + 1e-9
+        assert v["deficit_one_way"] <= v["deficit_zero_way"] + 1e-9
+        assert v["discord_zero_way"] <= v["deficit_zero_way"] + 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(**_STATES)
+    def test_local_unitary_invariance(self, d_a, rank, seed):
+        # at the default config: FAST's 6 starts can all miss the global
+        # basin of a 3-level side, and then the two frames disagree by 1e-3
+        cfg = rf.OptimizerConfig()
+        rho = random_bipartite(seed, d_a, 2, min(rank, 2 * d_a))
+        rng = np.random.default_rng(seed)
+        rotated = apply_local(rho, random_unitary(d_a, rng), random_unitary(2, rng))
+        for name in _SEARCHES:
+            search = getattr(rf, name)
+            assert search(rotated, cfg).value == pytest.approx(
+                search(rho, cfg).value, abs=1e-8
+            ), name
+
+
 class TestRelativeEntropyRoutes:
     def test_bell(self):
         assert rf.relent_to_cq(bell(), FAST).value == pytest.approx(1.0, abs=1e-3)
