@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 from .states import (
-    CONSTRUCTION_TOL,
     EIG_FLOOR,
     DensityMatrix,
+    _check_hermitian,
+    _finite_matrix,
     partial_trace,
     require_bipartite,
 )
@@ -32,13 +33,8 @@ class Hamiltonian:
     beta: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"Hamiltonian must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("Hamiltonian contains non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION_TOL:
-            raise NotHermitian("Hamiltonian is not Hermitian")
+        m = _finite_matrix(self.matrix)
+        _check_hermitian(m)
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         m.setflags(write=False)
@@ -50,6 +46,15 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the positive entries of each row (axis 0) of
+    ``p``, whatever its shape: the one entropy kernel, which
+    ``shannon_bits`` applies to a single distribution."""
+    positive = p > 0.0
+    terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
+    return np.maximum(0.0, -terms.reshape(len(p), -1).sum(axis=1))
+
+
 def shannon_bits(probs) -> float:
     """-sum p log2 p over every p > 0 (so 0 log 0 = 0).
 
@@ -58,11 +63,9 @@ def shannon_bits(probs) -> float:
     is counted, so a search cannot lower an entropy by pushing weight just
     under a threshold.
     """
-    p = np.asarray(probs, dtype=float).ravel()
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+    p = np.asarray(probs, dtype=float).reshape(1, -1)
+    # Python's max, not np.maximum, so that no entropy reads -0.0
+    return max(0.0, float(_shannon_rows(p)[0]))
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

@@ -58,9 +58,13 @@ def load_json(path: str) -> Any:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:               # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise FileFormatError(f"{where}: non-finite number")
-    return float(value)
+    return number
 
 
 def _finite_pairs(rows) -> np.ndarray | None:
@@ -198,11 +202,11 @@ def _step_from_json(obj, where: str) -> ProtocolStep:
         if op == "LocalUnitary":
             return LocalUnitary(obj["side"], matrix_from_json(obj["matrix"], where))
         if op == "AddMaxMixedAncilla":
-            return AddMaxMixedAncilla(obj["side"], int(obj["dim"]))
+            return AddMaxMixedAncilla(obj["side"], obj["dim"])
         if op == "LocalPartialTrace":
-            return LocalPartialTrace(obj["side"], int(obj["subsystem"]))
+            return LocalPartialTrace(obj["side"], obj["subsystem"])
         if op == "SendQubit":
-            return SendQubit(obj["from"], int(obj["qubit"]))
+            return SendQubit(obj["from"], obj["qubit"])
     except KeyError as exc:
         raise FileFormatError(f"{where}: missing field {exc} for op {op!r}") from exc
     except (TypeError, ValueError) as exc:

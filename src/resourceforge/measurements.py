@@ -23,7 +23,13 @@ from .errors import (
     NotUnitary,
     ParamCountMismatch,
 )
-from .states import CONSTRUCTION_TOL, DensityMatrix, _conjugate_site, require_bipartite
+from .states import (
+    DensityMatrix,
+    _check_orthonormal,
+    _conjugate_site,
+    _finite_matrix,
+    require_bipartite,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +45,8 @@ class ProjectiveMeasurement:
             raise DimensionMismatch(
                 f"basis shape {b.shape} does not match dimension {self.dimension}"
             )
-        if np.max(np.abs(b.conj().T @ b - np.eye(self.dimension))) > CONSTRUCTION_TOL:
-            raise NotUnitary("basis columns are not orthonormal")
+        b = _finite_matrix(b)
+        _check_orthonormal(b, NotUnitary)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -100,14 +106,10 @@ def params_from_unitary(u) -> np.ndarray:
     ``unitary_from_params(params_from_unitary(u), d)`` equals u with each
     column times its own unit-modulus phase, so it has the same projectors.
     """
-    v = np.array(u, dtype=np.complex128)
-    d = v.shape[0]
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {v.shape}")
-    if np.max(np.abs(v.conj().T @ v - np.eye(d))) > CONSTRUCTION_TOL:
-        raise NotUnitary("matrix is not unitary")
+    v = _finite_matrix(u)
+    _check_orthonormal(v, NotUnitary)
     rot = []
-    for (i, j, col) in _elimination_sequence(d):
+    for (i, j, col) in _elimination_sequence(len(v)):
         a, b = v[i, col], v[j, col]
         if abs(b) < 1e-14:
             theta, phi = 0.0, 0.0

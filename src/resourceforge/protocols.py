@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,15 +28,15 @@ from .errors import (
     EmptyKeepSet,
     IllegalStepForMode,
     IndexOutOfRange,
-    NotAQubit,
     NotUnitary,
 )
 from .entropy import vn_entropy
 from .measurements import dephasing_channel
 from .states import (
-    CONSTRUCTION_TOL,
     DensityMatrix,
+    _check_orthonormal,
     _conjugate_site,
+    _finite_matrix,
     check_dimension_cap,
     maximally_mixed,
     partial_trace,
@@ -54,6 +55,11 @@ def _check_side(side: str) -> str:
     return side
 
 
+def _check_integer(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LocalUnitary:
     """Unitary acting jointly on all subsystems owned by one side."""
@@ -63,11 +69,8 @@ class LocalUnitary:
 
     def __post_init__(self):
         _check_side(self.side)
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"unitary must be square, got {m.shape}")
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > CONSTRUCTION_TOL:
-            raise NotUnitary("step matrix is not unitary")
+        m = _finite_matrix(self.matrix)
+        _check_orthonormal(m, NotUnitary)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -81,6 +84,7 @@ class AddMaxMixedAncilla:
 
     def __post_init__(self):
         _check_side(self.side)
+        _check_integer(self.dim, "ancilla dimension")
         if self.dim < 2:
             raise ValueError(f"ancilla dimension must be >= 2, got {self.dim}")
 
@@ -92,6 +96,10 @@ class LocalPartialTrace:
     side: str
     subsystem: int
 
+    def __post_init__(self):
+        _check_side(self.side)
+        _check_integer(self.subsystem, "subsystem")
+
 
 @dataclass(frozen=True)
 class SendQubit:
@@ -102,6 +110,7 @@ class SendQubit:
 
     def __post_init__(self):
         _check_side(self.from_side)
+        _check_integer(self.qubit, "qubit")
 
 
 ProtocolStep = Union[LocalUnitary, AddMaxMixedAncilla, LocalPartialTrace, SendQubit]
@@ -152,10 +161,15 @@ def _owned_indices(reg: Register, side: str) -> list[int]:
     return [k for k, o in enumerate(reg.ownership) if o == side]
 
 
-def _check_index(reg: Register, idx: int) -> None:
+def _check_owner(reg: Register, idx: int, side: str) -> None:
+    """Raise IndexOutOfRange unless subsystem ``idx`` exists and ``side`` owns it."""
     if idx < 0 or idx >= len(reg.state.dims):
         raise IndexOutOfRange(
             f"subsystem {idx} not in 0..{len(reg.state.dims) - 1}"
+        )
+    if reg.ownership[idx] != side:
+        raise IndexOutOfRange(
+            f"subsystem {idx} is owned by {reg.ownership[idx]}, not {side}"
         )
 
 
@@ -186,12 +200,7 @@ def _apply_add_ancilla(reg: Register, step: AddMaxMixedAncilla) -> Register:
 
 
 def _apply_partial_trace(reg: Register, step: LocalPartialTrace) -> Register:
-    _check_index(reg, step.subsystem)
-    if reg.ownership[step.subsystem] != step.side:
-        raise IndexOutOfRange(
-            f"subsystem {step.subsystem} is owned by "
-            f"{reg.ownership[step.subsystem]}, not {step.side}"
-        )
+    _check_owner(reg, step.subsystem, step.side)
     keep = [k for k in range(len(reg.state.dims)) if k != step.subsystem]
     if not keep:
         raise EmptyKeepSet("cannot trace away the last subsystem")
@@ -201,16 +210,7 @@ def _apply_partial_trace(reg: Register, step: LocalPartialTrace) -> Register:
 
 
 def _apply_send_qubit(reg: Register, step: SendQubit) -> Register:
-    _check_index(reg, step.qubit)
-    if reg.ownership[step.qubit] != step.from_side:
-        raise IndexOutOfRange(
-            f"subsystem {step.qubit} is owned by "
-            f"{reg.ownership[step.qubit]}, not {step.from_side}"
-        )
-    if reg.state.dims[step.qubit] != 2:
-        raise NotAQubit(
-            f"subsystem {step.qubit} has dimension {reg.state.dims[step.qubit]}"
-        )
+    _check_owner(reg, step.qubit, step.from_side)
     new_state = dephasing_channel(reg.state, step.qubit)
     to_side = "B" if step.from_side == "A" else "A"
     owners = list(reg.ownership)
@@ -286,14 +286,12 @@ def extracted_local_purity(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     candidates = _qubit_candidates(reg)
     candidates.sort(key=lambda c: (-c[1], c[0]))
-    if exact:
-        for size in range(len(candidates), 0, -1):
-            for subset in itertools.combinations(candidates, size):
-                if _product_fidelity(reg, list(subset)) >= 1 - epsilon:
-                    return size
-        return 0
     for size in range(len(candidates), 0, -1):
-        if _product_fidelity(reg, candidates[:size]) >= 1 - epsilon:
+        if exact:
+            subsets = itertools.combinations(candidates, size)
+        else:
+            subsets = [candidates[:size]]
+        if any(_product_fidelity(reg, list(s)) >= 1 - epsilon for s in subsets):
             return size
     return 0
 

@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .entropy import mutual_information, vn_entropy
+from .entropy import _shannon_rows, mutual_information, vn_entropy
 from .measurements import (
     ProjectiveMeasurement,
     _unitaries_from_params,
@@ -157,14 +157,6 @@ def _check_side_a(rho: DensityMatrix, m: ProjectiveMeasurement) -> None:
         )
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over the positive entries of each row (axis 0), as
-    ``shannon_bits`` counts one distribution."""
-    positive = p > 0.0
-    terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
-    return np.maximum(0.0, -terms.reshape(len(p), -1).sum(axis=1))
-
-
 def _log2_floored(p: np.ndarray) -> np.ndarray:
     # gradients only: a weight below 2^-60 counts as 2^-60, not as log 0
     return np.log2(np.maximum(p, 2.0 ** -60))
@@ -198,6 +190,8 @@ def _riemannian_gradient(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
+    """S(rho') - S(rho) of the bases measured on A; with ``discord``, the
+    mutual-information loss I(rho) - I(rho') instead."""
     require_bipartite(rho)
     t, t_swapped = _ordered_pairs(rho)
     d_b = rho.dims[1]
@@ -212,10 +206,10 @@ def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
         flat = _projectors(u) @ t
         blocks = flat.reshape(len(u), -1, d_b, d_b)
         w, v = np.linalg.eigh(blocks)
-        value = _entropy_rows(w) - s0
+        value = _shannon_rows(w) - s0
         if discord:
             p = flat[:, :, :: d_b + 1].sum(axis=2).real
-            value = value - (_entropy_rows(p) - s_a)
+            value = value - (_shannon_rows(p) - s_a)
         if not gradient:
             return value
         # M_i[a, c] = tr(log2(B_i) R_ac), R_ac the (a, c) block of rho; the
@@ -230,6 +224,8 @@ def _one_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
 
 
 def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
+    """S(rho'') - S(rho) of the bases measured on A and B; with ``discord``,
+    I(rho) - I(rho'') instead."""
     require_bipartite(rho)
     t, t_swapped = _ordered_pairs(rho)
     s0 = vn_entropy(rho)
@@ -242,10 +238,10 @@ def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
         q = (blocks @ p_b.swapaxes(1, 2)).real
         if discord:
             q_a, q_b = q.sum(axis=2), q.sum(axis=1)
-            i_measured = _entropy_rows(q_a) + _entropy_rows(q_b) - _entropy_rows(q)
+            i_measured = _shannon_rows(q_a) + _shannon_rows(q_b) - _shannon_rows(q)
             value = i_m - i_measured
         else:
-            value = _entropy_rows(q) - s0
+            value = _shannon_rows(q) - s0
         if not gradient:
             return value
         # df = -sum_ij w_ij dq_ij; M sums each side's conditional blocks by w
@@ -260,26 +256,6 @@ def _two_way_objective(rho: DensityMatrix, discord: bool) -> _Objective:
     return objective
 
 
-def _deficit_objective(rho: DensityMatrix) -> _Objective:
-    """S(rho') - S(rho) of the bases measured on A."""
-    return _one_way_objective(rho, discord=False)
-
-
-def _discord_objective(rho: DensityMatrix) -> _Objective:
-    """Mutual-information loss of the bases measured on A."""
-    return _one_way_objective(rho, discord=True)
-
-
-def _zero_way_deficit_objective(rho: DensityMatrix) -> _Objective:
-    """S(rho'') - S(rho) of the bases measured on A and B."""
-    return _two_way_objective(rho, discord=False)
-
-
-def _zero_way_discord_objective(rho: DensityMatrix) -> _Objective:
-    """I(rho) - I(rho'') of the bases measured on A and B."""
-    return _two_way_objective(rho, discord=True)
-
-
 def _entropic_bound(rho: DensityMatrix, sides: Sequence[int] = (0, 1)) -> float:
     """max(0, S(X) - S(AB)) over the marginals X on ``sides``: a lower bound
     on the one-way deficit and both zero-way forms with ``sides=(0, 1)``,
@@ -291,7 +267,7 @@ def _entropic_bound(rho: DensityMatrix, sides: Sequence[int] = (0, 1)) -> float:
 def deficit_one_way_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     """Entropy increase S(rho') - S(rho) for a fixed measurement on A."""
     _check_side_a(rho, m)
-    return float(_deficit_objective(rho)(m.basis[None])[0])
+    return float(_one_way_objective(rho, discord=False)(m.basis[None])[0])
 
 
 def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
@@ -301,7 +277,7 @@ def discord_fixed(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     itself: [S(rho') - S(rho)] - [S(rho'_A) - S(rho_A)].
     """
     _check_side_a(rho, m)
-    return float(_discord_objective(rho)(m.basis[None])[0])
+    return float(_one_way_objective(rho, discord=True)(m.basis[None])[0])
 
 
 class Descent(NamedTuple):
@@ -359,15 +335,15 @@ def minimize(
     gg = _inner(g, g)
     with np.errstate(divide="ignore"):
         tau = 1 / np.sqrt(gg)
+    # each start's lowest value and its bases there
     fun, bases = f, u
     converged = gg <= gtol**2
-    # the working set: the unfinished starts, their lowest values and bases,
-    # and the Zhang-Hager reference value C and its weight Q
+    # the working set: the unfinished starts, and the Zhang-Hager reference
+    # value C and its weight Q
     rows = np.flatnonzero(~converged)
     u, g = [x[rows] for x in u], [x[rows] for x in g]
     gg, tau = gg[rows], tau[rows]
-    best_f, best_u = f[rows], [x.copy() for x in u]
-    ref, weight = best_f.copy(), np.ones(rows.size)
+    ref, weight = f[rows], np.ones(rows.size)
     for it in range(max_iterations):
         if not rows.size:
             break
@@ -400,10 +376,10 @@ def minimize(
             bb = (tau**2 * gg / sy) if it % 2 == 0 else (sy / _inner(y, y))
             cap = 1 / np.sqrt(new_gg)
         tau = np.where(sy > 0, np.minimum(bb, cap), cap)
-        lower = moved & (new_f < best_f)
-        best_f[lower] = new_f[lower]
+        lower = moved & (new_f < fun[rows])
+        fun[rows[lower]] = new_f[lower]
         for k in range(len(u)):
-            best_u[k][lower] = new_u[k][lower]
+            bases[k][rows[lower]] = new_u[k][lower]
         past = _NONMONOTONE * weight
         weight = past + 1
         ref = (past * ref + new_f) / weight
@@ -411,17 +387,10 @@ def minimize(
         stay = moved & ~done
         if not stay.all():
             converged[rows[done]] = True
-            fun[rows[~stay]] = best_f[~stay]
-            for k in range(len(u)):
-                bases[k][rows[~stay]] = best_u[k][~stay]
             rows, tau, ref, weight = rows[stay], tau[stay], ref[stay], weight[stay]
             new_u, new_g = [x[stay] for x in new_u], [x[stay] for x in new_g]
             new_gg = new_gg[stay]
-            best_f, best_u = best_f[stay], [x[stay] for x in best_u]
         u, g, gg = new_u, new_g, new_gg
-    fun[rows] = best_f
-    for k in range(len(u)):
-        bases[k][rows] = best_u[k]
     return Descent(fun, tuple(bases), nit, nfev, bool(converged.all()))
 
 
@@ -511,6 +480,19 @@ def _diverse_picks(
     return np.concatenate([np.array(picks, dtype=int), rest[: count - len(picks)]])
 
 
+def _walk(values: list[float], stop: float) -> tuple[int, list[tuple[int, float]]]:
+    """The index of the lowest of ``values``, and the trace that walks them
+    in order: it ends at the first value at most ``stop``, or else after
+    them all with (number of values, lowest value)."""
+    best = 0
+    for k, value in enumerate(values):
+        if value < values[best]:
+            best = k
+        if values[best] <= stop:
+            return best, list(enumerate(values[: k + 1]))
+    return best, list(enumerate(values)) + [(len(values), values[best])]
+
+
 def _result(value: float, bases: Sequence[np.ndarray], trace) -> QuantumnessResult:
     found = tuple(ProjectiveMeasurement(len(u), u) for u in bases)
     return QuantumnessResult(value, found if len(found) > 1 else found[0], trace)
@@ -535,13 +517,8 @@ def _multistart(
     trace walks the starts in order and ends at the first one within that
     distance; so a stopped value lies within it of the true minimum.
     ``value`` is the minimum over the trace and the objective at the
-    returned bases.  A search whose sites have one level each returns the
-    objective at the identity.
+    returned bases.
     """
-    if not any(map(param_count, dims)):
-        identity = [np.eye(d, dtype=np.complex128) for d in dims]
-        value = float(objective(*(u[None] for u in identity))[0])
-        return _result(value, identity, [(0, value)])
     stop = bound + _STOP_EPS
     seeds = [
         np.array([bases[s] for bases in structured], dtype=np.complex128).reshape(-1, d, d)
@@ -549,10 +526,9 @@ def _multistart(
     ]
     if structured:
         values = objective(*seeds).tolist()
-        for k, value in enumerate(values):
-            if value <= stop:
-                trace = list(enumerate(values[: k + 1]))
-                return _result(value, [site[k] for site in seeds], trace)
+        best, trace = _walk(values, stop)
+        if values[best] <= stop:
+            return _result(values[best], [site[best] for site in seeds], trace)
     chosen = structured[: cfg.restarts]
     starts = [site[: cfg.restarts] for site in seeds]
     places = cfg.restarts - len(chosen)
@@ -569,15 +545,7 @@ def _multistart(
         starts = [np.concatenate([s, site[picks]]) for s, site in zip(starts, lattice)]
     found = minimize(objective, starts, cfg.max_iterations, cfg.tolerance)
     values = found.fun.tolist()
-    best = 0
-    for k, value in enumerate(values):
-        if value < values[best]:
-            best = k
-        if values[best] <= stop:
-            trace = list(enumerate(values[: k + 1]))
-            break
-    else:
-        trace = list(enumerate(values)) + [(len(values), values[best])]
+    best, trace = _walk(values, stop)
     return _result(values[best], [site[best] for site in found.bases], trace)
 
 
@@ -607,26 +575,26 @@ def _search(
 
 def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase under a rank-one measurement on A."""
-    return _search(rho, _deficit_objective(rho), _entropic_bound(rho), cfg)
+    objective = _one_way_objective(rho, discord=False)
+    return _search(rho, objective, _entropic_bound(rho), cfg)
 
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss under a rank-one measurement on A."""
-    return _search(rho, _discord_objective(rho), _entropic_bound(rho, (0,)), cfg)
+    objective = _one_way_objective(rho, discord=True)
+    return _search(rho, objective, _entropic_bound(rho, (0,)), cfg)
 
 
 def deficit_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal entropy increase when both sides are measured."""
-    return _search(
-        rho, _zero_way_deficit_objective(rho), _entropic_bound(rho), cfg, sites=(0, 1)
-    )
+    objective = _two_way_objective(rho, discord=False)
+    return _search(rho, objective, _entropic_bound(rho), cfg, sites=(0, 1))
 
 
 def discord_zero_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Minimal mutual-information loss when both sides are measured."""
-    return _search(
-        rho, _zero_way_discord_objective(rho), _entropic_bound(rho), cfg, sites=(0, 1)
-    )
+    objective = _two_way_objective(rho, discord=True)
+    return _search(rho, objective, _entropic_bound(rho), cfg, sites=(0, 1))
 
 
 def relent_to_cq(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
@@ -663,10 +631,8 @@ def _lifted_deficit(
     _measured_dims(lifted, (0,))     # refuse before the unlifted search runs
     base = deficit_one_way(rho, cfg)
     warm = lift(base.argmin_measurement.basis)
-    return _search(
-        lifted, _deficit_objective(lifted), _entropic_bound(lifted), cfg,
-        warm_bases=[warm],
-    )
+    objective = _one_way_objective(lifted, discord=False)
+    return _search(lifted, objective, _entropic_bound(lifted), cfg, warm_bases=[warm])
 
 
 def generalized_deficit(

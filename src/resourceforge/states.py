@@ -7,6 +7,12 @@ factors around.  All operations are pure functions and the arrays stored
 inside a :class:`DensityMatrix` are frozen, so values can be shared freely
 across threads.
 
+This module is the one home of the construction checks: every matrix a
+state, Hamiltonian, measurement basis, local unitary or isometry is built
+from is checked here for its shape, for finite entries (a NaN or an
+infinity is rejected with ``ValueError``), and for being Hermitian or
+having orthonormal columns.
+
 Tolerance ladder: construction checks run at ``CONSTRUCTION_TOL`` (1e-10),
 derived-quantity checks at ``DERIVED_TOL`` (1e-9), and ``EIG_FLOOR`` (1e-12)
 decides support: an eigenvalue of sigma at or below it is outside the
@@ -41,13 +47,29 @@ DERIVED_TOL = 1e-9
 EIG_FLOOR = 1e-12
 
 
-def _as_square_complex(matrix) -> np.ndarray:
+def _finite_matrix(matrix, tall: bool = False) -> np.ndarray:
+    """A complex copy of ``matrix``, checked square (with ``tall``, at least
+    as many rows as columns) and finite."""
     m = np.array(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] < m.shape[1] or (m.shape[0] > m.shape[1] and not tall):
+        shape = "a tall" if tall else "a square"
+        raise DimensionMismatch(f"expected {shape} matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    gap = np.max(np.abs(m - m.conj().T))
+    if gap > CONSTRUCTION_TOL:
+        raise NotHermitian(f"max |M - M^dag| = {gap:.3e}")
+
+
+def _check_orthonormal(m: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` unless the columns of ``m`` are orthonormal."""
+    gap = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
+    if gap > CONSTRUCTION_TOL:
+        raise error(f"max |V^dag V - I| = {gap:.3e}")
 
 
 @dataclass(frozen=True)
@@ -89,29 +111,27 @@ def validate(matrix, dims: Sequence[int]) -> DensityMatrix:
     """Check matrix and dims and return a :class:`DensityMatrix`.
 
     Raises the error of the first violated invariant: DimensionMismatch,
-    DimensionTooLarge, NotHermitian, NotUnitTrace, or NotPSD.
+    DimensionTooLarge, ValueError (non-finite entries), NotHermitian,
+    NotUnitTrace, or NotPSD.
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
     check_dimension_cap(dims)
-    m = _as_square_complex(matrix)
+    m = _finite_matrix(matrix)
     d = m.shape[0]
     if int(np.prod(dims)) != d:
         raise DimensionMismatch(
             f"product of dims {dims} is {int(np.prod(dims))}, matrix side is {d}"
         )
-    if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION_TOL:
-        raise NotHermitian(
-            f"max |M - M^dag| = {np.max(np.abs(m - m.conj().T)):.3e}"
-        )
+    _check_hermitian(m)
     tr = np.trace(m)
     if abs(tr - 1.0) > CONSTRUCTION_TOL:
         raise NotUnitTrace(f"trace is {tr:.12g}")
     w = np.linalg.eigvalsh(m)
     if w[0] < -CONSTRUCTION_TOL:
         raise NotPSD(f"min eigenvalue is {w[0]:.3e}")
-    return DensityMatrix(m.copy(), dims)
+    return DensityMatrix(m, dims)
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
@@ -177,11 +197,8 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
 
 def eig_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    m = _as_square_complex(matrix)
-    if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION_TOL:
-        raise NotHermitian(
-            f"max |M - M^dag| = {np.max(np.abs(m - m.conj().T)):.3e}"
-        )
+    m = _finite_matrix(matrix)
+    _check_hermitian(m)
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -193,16 +210,8 @@ def spectrum(rho: DensityMatrix) -> np.ndarray:
 
 def validate_isometry(matrix) -> np.ndarray:
     """Check V^dag V = I (tall matrix) and return the array."""
-    v = np.array(matrix, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] < v.shape[1]:
-        raise DimensionMismatch(
-            f"isometry needs rows >= cols, got shape {v.shape}"
-        )
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(v.shape[1]))) > CONSTRUCTION_TOL:
-        raise NotIsometry(
-            f"max |V^dag V - I| = {np.max(np.abs(gram - np.eye(v.shape[1]))):.3e}"
-        )
+    v = _finite_matrix(matrix, tall=True)
+    _check_orthonormal(v, NotIsometry)
     return v
 
 

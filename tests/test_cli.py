@@ -138,6 +138,7 @@ class TestFileFormats:
             ([[[1, 0], [[1], 0]]], "M (0,1) re: expected a number, got [1]"),
             ([[[1, 0], [1e400, 0]]], "M (0,1) re: non-finite number"),
             ([[[1, 0], [0, -1e400]]], "M (0,1) im: non-finite number"),
+            ([[[1, 0], [10**400, 0]]], "M (0,1) re: non-finite number"),
         ],
     )
     def test_matrix_rejections_name_the_first_bad_entry(self, rows, message):
@@ -202,6 +203,23 @@ class TestCliBasics:
         code, out, err = run(capsys, ["validate", "--state", path])
         assert code == 0
         assert json.loads(out) == {"valid": True, "dims": [16, 16], "dimension": 256}
+
+    @pytest.mark.parametrize(
+        "command, flag, payload",
+        [
+            ("validate", "--state",
+             {"dims": [2], "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+            ("gibbs", "--ham",
+             {"beta": 10**400, "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        ],
+    )
+    def test_integer_beyond_float_range_exit_2(self, capsys, tmp_path, command, flag, payload):
+        # a JSON integer too large for a float is a bad file, not a crash
+        path = write_json(tmp_path / "huge.json", payload)
+        code, out, err = run(capsys, [command, flag, path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("FileFormatError: ") and "non-finite number" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, ["entropy", "--state", "/nonexistent.json"])
@@ -397,6 +415,26 @@ class TestCliProtocol:
         )
         assert code == 1
         assert "IllegalStepForMode" in err
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"op": "LocalPartialTrace", "side": "C", "subsystem": 1},
+            {"op": "AddMaxMixedAncilla", "side": "A", "dim": 2.9},
+            {"op": "SendQubit", "from": "A", "qubit": True},
+            {"op": "LocalPartialTrace", "side": "B", "subsystem": "0"},
+        ],
+    )
+    def test_bad_step_field_exit_2(self, capsys, tmp_path, bell_file, step):
+        # every field is checked as read: no side outside A and B, and no
+        # integer field that is a float, a boolean or a string
+        script = write_json(tmp_path / "script.json", {"mode": "NLOCC", "steps": [step]})
+        code, out, err = run(
+            capsys, ["protocol", "--state", bell_file, "--script", script]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("FileFormatError: ")
 
     def test_wrong_size_unitary_names_its_step(self, capsys, tmp_path, bell_file):
         script = write_json(

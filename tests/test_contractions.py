@@ -14,10 +14,8 @@ import resourceforge as rf
 from resourceforge import quantumness
 from resourceforge.oracles import relent_to_dephased, relent_to_doubly_dephased
 from resourceforge.quantumness import (
-    _deficit_objective,
-    _discord_objective,
-    _zero_way_deficit_objective,
-    _zero_way_discord_objective,
+    _one_way_objective,
+    _two_way_objective,
     minimize,
 )
 from helpers import (
@@ -131,11 +129,11 @@ def test_objectives_ignore_column_phases(dims, seed):
     u_a, u_b = random_unitary(dims[0], rng), random_unitary(dims[1], rng)
     v_a = u_a * np.exp(2j * np.pi * rng.random(dims[0]))
     v_b = u_b * np.exp(2j * np.pi * rng.random(dims[1]))
-    for one_sided in (_deficit_objective, _discord_objective):
-        objective = one_sided(rho)
+    for discord in (False, True):
+        objective = _one_way_objective(rho, discord)
         assert abs(objective(v_a[None])[0] - objective(u_a[None])[0]) <= 1e-12
-    for two_sided in (_zero_way_deficit_objective, _zero_way_discord_objective):
-        objective = two_sided(rho)
+    for discord in (False, True):
+        objective = _two_way_objective(rho, discord)
         assert abs(
             objective(v_a[None], v_b[None])[0] - objective(u_a[None], u_b[None])[0]
         ) <= 1e-12
@@ -162,11 +160,12 @@ def test_embedding_is_absorbed_by_the_measurement(dims, extra, seed):
     assert abs(in_rotated - at_v) <= 1e-12
 
 
+# each objective's factory, called with rho, and its number of measured sites
 _OBJECTIVES = {
-    "deficit_one_way": (_deficit_objective, 1),
-    "discord": (_discord_objective, 1),
-    "deficit_zero_way": (_zero_way_deficit_objective, 2),
-    "discord_zero_way": (_zero_way_discord_objective, 2),
+    "deficit_one_way": (lambda rho: _one_way_objective(rho, discord=False), 1),
+    "discord": (lambda rho: _one_way_objective(rho, discord=True), 1),
+    "deficit_zero_way": (lambda rho: _two_way_objective(rho, discord=False), 2),
+    "discord_zero_way": (lambda rho: _two_way_objective(rho, discord=True), 2),
 }
 
 

@@ -35,6 +35,19 @@ class TestStepConstruction:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             rf.SendQubit("C", 0)
+        with pytest.raises(ValueError):
+            rf.LocalPartialTrace("C", 0)
+        with pytest.raises(ValueError):
+            rf.AddMaxMixedAncilla("C", 2)
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    @pytest.mark.parametrize(
+        "make", [rf.LocalPartialTrace, rf.AddMaxMixedAncilla, rf.SendQubit]
+    )
+    def test_integer_fields_must_be_integers(self, make, value):
+        with pytest.raises(TypeError, match="must be an integer"):
+            make("A", value)
+        make("A", np.int64(2))              # numpy integers are integers
 
     def test_small_ancilla_rejected(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,13 @@ class TestFixedMeasurementQuantities:
         assert abs(rf.deficit_one_way_fixed(rho, m)) <= 1e-9
         assert abs(rf.discord_fixed(rho, m)) <= 1e-9
 
+    def test_non_finite_basis_rejected(self):
+        # [[nan, 0], [0, 1]] once passed the orthonormality test and gave a
+        # deficit of one half for a Bell state
+        basis = np.array([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            rf.deficit_one_way_fixed(bell(), rf.ProjectiveMeasurement(2, basis))
+
     def test_maximally_mixed_any_basis(self):
         rng = np.random.default_rng(4)
         rho = rf.maximally_mixed((2, 2))
@@ -172,8 +179,8 @@ _STATES = dict(
 
 
 class TestSearchProperties:
-    """Invariants of the four searched quantities on random (2, 2) and
-    (3, 2) states of any rank."""
+    """Invariants of the searched quantities on random (2, 2), (3, 2) and
+    (2, 3) states of any rank."""
 
     @settings(max_examples=10, deadline=None)
     @given(**_STATES)
@@ -186,6 +193,26 @@ class TestSearchProperties:
         assert v["discord"] <= v["deficit_one_way"] + 1e-9
         assert v["deficit_one_way"] <= v["deficit_zero_way"] + 1e-9
         assert v["discord_zero_way"] <= v["deficit_zero_way"] + 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (3, 2), (2, 3)]),
+        rank=st.integers(1, 6),
+        dephased=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_non_negative(self, dims, rank, dephased, seed):
+        # every optimised quantity, on random states and on states dephased
+        # on A, where the minimum is 0; FAST suffices, as a search that
+        # misses the global minimum only reads higher.  A value may fall
+        # below 0 by rounding alone.
+        rho = random_bipartite(seed, *dims, rank=min(rank, dims[0] * dims[1]))
+        if dephased:
+            z_basis = rf.ProjectiveMeasurement(dims[0], np.eye(dims[0]))
+            rho = rf.measure_local(rho, z_basis, 0)
+        for name, search in _OPTIMISED.items():
+            result = search(rho, FAST)
+            assert getattr(result, "value", result) >= -1e-12, name
 
     @settings(max_examples=10, deadline=None)
     @given(**_STATES)
@@ -367,7 +394,7 @@ class TestBasinDiverseStarts:
     def test_starts_keep_their_distance(self):
         # no two lattice starts measure nearly the same projectors
         rho = random_bipartite(2)
-        objective = quantumness._deficit_objective(rho)
+        objective = quantumness._one_way_objective(rho, discord=False)
         cfg = rf.OptimizerConfig(restarts=8)
         lattice = quantumness._lattice([2], cfg)
         order = np.argsort(objective(*lattice), kind="stable")
@@ -498,6 +525,12 @@ class TestOneLevelSide:
         m_a, m_b = res.argmin_measurement
         assert np.array_equal(m_a.basis, np.eye(1)) and m_b.dimension == 2
 
+    @pytest.mark.parametrize("name", _SEARCHES)
+    def test_both_sides_one_level(self, name):
+        res = getattr(rf, name)(rf.maximally_mixed((1, 1)), FAST)
+        assert res.value == 0.0
+        assert res.trace == [(0, 0.0)]
+
     def test_lifted_forms(self):
         rho = rf.maximally_mixed((1, 2))
         assert abs(rf.generalized_deficit(rho, 1, FAST).value) <= 1e-12
@@ -563,10 +596,10 @@ _OPTIMISED = {
 }
 
 _OBJECTIVES = {
-    "deficit_one_way": quantumness._deficit_objective,
-    "discord": quantumness._discord_objective,
-    "deficit_zero_way": quantumness._zero_way_deficit_objective,
-    "discord_zero_way": quantumness._zero_way_discord_objective,
+    "deficit_one_way": lambda rho: quantumness._one_way_objective(rho, discord=False),
+    "discord": lambda rho: quantumness._one_way_objective(rho, discord=True),
+    "deficit_zero_way": lambda rho: quantumness._two_way_objective(rho, discord=False),
+    "discord_zero_way": lambda rho: quantumness._two_way_objective(rho, discord=True),
 }
 
 
@@ -638,7 +671,8 @@ class TestEntropicStop:
 
     def test_unreached_bound_changes_nothing(self):
         rho = random_bipartite(3)
-        args = (quantumness._deficit_objective(rho), [2], FAST, [(np.eye(2),)])
+        objective = quantumness._one_way_objective(rho, discord=False)
+        args = (objective, [2], FAST, [(np.eye(2),)])
         plain = quantumness._multistart(*args)
         bound = quantumness._entropic_bound(rho)
         bounded = quantumness._multistart(*args, bound)

@@ -24,6 +24,35 @@ def test_bipartite_check_is_shared(call):
         call(rf.maximally_mixed((2, 2, 2)))
 
 
+def _with(bad, shape=(2, 2)):
+    """An identity-like matrix of ``shape`` with one non-finite entry."""
+    m = np.eye(*shape, dtype=complex)
+    m[0, 0] = bad
+    return m
+
+
+# every constructor that checks a matrix, each through the checks in states
+_MATRIX_CHECKS = {
+    "ProjectiveMeasurement": lambda bad: rf.ProjectiveMeasurement(2, _with(bad)),
+    "LocalUnitary": lambda bad: rf.LocalUnitary("A", _with(bad)),
+    "validate_isometry": lambda bad: rf.validate_isometry(_with(bad, (3, 2))),
+    "embed": lambda bad: rf.embed(rf.maximally_mixed((2,)), _with(bad, (3, 2)), 0),
+    "params_from_unitary": lambda bad: rf.params_from_unitary(_with(bad)),
+    "Hamiltonian": lambda bad: rf.Hamiltonian(_with(bad), 1.0),
+    "validate": lambda bad: rf.validate(_with(bad), [2]),
+    "eig_hermitian": lambda bad: rf.eig_hermitian(_with(bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), -np.inf])
+@pytest.mark.parametrize("name", sorted(_MATRIX_CHECKS))
+def test_non_finite_matrix_rejected(name, bad):
+    # a NaN makes every comparison false, so a tolerance test alone would
+    # pass it: each constructor rejects it before testing the matrix
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        _MATRIX_CHECKS[name](bad)
+
+
 class TestValidate:
     def test_maximally_mixed_qubit(self):
         rho = rf.validate(np.eye(2) / 2, [2])
