@@ -9,6 +9,7 @@ the same seed produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -50,10 +51,12 @@ _FILES = {
     "script": ("path to a script JSON file", "load_script"),
 }
 
+# each flag's dest is the OptimizerConfig field it sets
 _OPTIMIZER = (
     ("--restarts", {"type": int, "default": None}),
-    ("--grid", {"type": int, "default": None, "help": "grid points per angle"}),
-    ("--tol", {"type": float, "default": None}),
+    ("--grid", {"type": int, "default": None, "dest": "grid_points",
+                "help": "grid points per angle"}),
+    ("--tol", {"type": float, "default": None, "dest": "tolerance"}),
     ("--seed", {"type": int, "default": None}),
 )
 
@@ -69,16 +72,10 @@ class _Command(NamedTuple):
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    kwargs = {}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.grid is not None:
-        kwargs["grid_points"] = args.grid
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return OptimizerConfig(**kwargs)
+    """The config of the optimizer flags given; the others keep their defaults."""
+    fields = (f.name for f in dataclasses.fields(OptimizerConfig))
+    given = {name: getattr(args, name, None) for name in fields}
+    return OptimizerConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_spectrum(text: str) -> np.ndarray:

@@ -20,6 +20,7 @@ from .states import (
     DensityMatrix,
     _check_hermitian,
     _finite_matrix,
+    _real,
     partial_trace,
     require_bipartite,
 )
@@ -35,11 +36,10 @@ class Hamiltonian:
     def __post_init__(self):
         m = _finite_matrix(self.matrix)
         _check_hermitian(m)
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        beta = _real(self.beta, "beta", 0)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", beta)
 
     @property
     def dim(self) -> int:

@@ -2,16 +2,22 @@
 configs, and protocol scripts.
 
 Complex matrices are serialized row-major as [[ [re, im], ... ], ...].
-Parsers reject non-finite numbers.  Floats written by this module carry 12
-significant digits, and infinities become the string "inf".
+Parsers refuse NaN, infinities and integers beyond the float range.
+Floats written by this module carry 12 significant digits, and infinities
+become the string "inf".
+
+Each loader checks the structure of its file and leaves the values to the
+input rules of ``resourceforge.states``, which the constructors apply; the
+TypeError or ValueError of a rule becomes a FileFormatError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
-from typing import Any, get_type_hints
+from typing import Any
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .protocols import (
     SendQubit,
 )
 from .quantumness import OptimizerConfig
-from .states import DensityMatrix, check_dimension_cap, validate
+from .states import DensityMatrix, _integer, _real, check_dimension_cap, validate
 
 
 class FileFormatError(Exception):
@@ -44,7 +50,10 @@ def format_float(value: float):
 
 
 def _reject_constant(name: str):
-    raise FileFormatError(f"non-finite number {name!r} in input")
+    """Refuse the constants NaN, Infinity and -Infinity while parsing, by
+    the finite-number rule."""
+    with _format_errors():
+        _real(float(name), name)
 
 
 def load_json(path: str) -> Any:
@@ -55,16 +64,23 @@ def load_json(path: str) -> Any:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{where}: expected a number, got {value!r}")
+def _load_object(path: str, *keys: str) -> dict:
+    """The JSON object in ``path``, checked to hold each of ``keys``."""
+    data = load_json(path)
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        expected = "keys " + " and ".join(map(repr, keys)) if keys else "a JSON object"
+        raise FileFormatError(f"{path}: expected {expected}")
+    return data
+
+
+@contextlib.contextmanager
+def _format_errors(where: str | None = None):
+    """Report the TypeError or ValueError of an input rule as a
+    FileFormatError, prefixed with ``where``."""
     try:
-        number = float(value)
-    except OverflowError:               # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise FileFormatError(f"{where}: non-finite number")
-    return number
+        yield
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _finite_pairs(rows) -> np.ndarray | None:
@@ -111,8 +127,9 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
                 raise FileFormatError(
                     f"{where}: entry ({i},{j}) must be a [re, im] pair"
                 )
-            re = _require_number(entry[0], f"{where} ({i},{j}) re")
-            im = _require_number(entry[1], f"{where} ({i},{j}) im")
+            with _format_errors():
+                re = _real(entry[0], f"{where} ({i},{j}) re")
+                im = _real(entry[1], f"{where} ({i},{j}) im")
             parsed.append(complex(re, im))
         out.append(parsed)
     return np.asarray(out, dtype=np.complex128)
@@ -127,16 +144,13 @@ def matrix_to_json(matrix) -> list:
 
 
 def load_state(path: str) -> DensityMatrix:
-    data = load_json(path)
-    if not isinstance(data, dict) or "dims" not in data or "matrix" not in data:
-        raise FileFormatError(f"{path}: expected keys 'dims' and 'matrix'")
+    data = _load_object(path, "dims", "matrix")
     dims = data["dims"]
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)
-    ):
+    if not isinstance(dims, list) or not dims:
         raise FileFormatError(f"{path}: 'dims' must be a list of positive integers")
+    with _format_errors(path):
+        for i, d in enumerate(dims):
+            _integer(d, f"dims[{i}]", 1)
     check_dimension_cap(dims, "state dimension")
     matrix = matrix_from_json(data["matrix"], f"{path}: matrix")
     return validate(matrix, dims)
@@ -147,23 +161,17 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 
 def load_hamiltonian(path: str) -> Hamiltonian:
-    data = load_json(path)
-    if not isinstance(data, dict) or "beta" not in data or "matrix" not in data:
-        raise FileFormatError(f"{path}: expected keys 'beta' and 'matrix'")
-    beta = _require_number(data["beta"], f"{path}: beta")
-    if beta < 0:
-        raise FileFormatError(f"{path}: beta must be >= 0")
+    data = _load_object(path, "beta", "matrix")
+    with _format_errors(path):         # beta is read first, as a format error
+        beta = _real(data["beta"], "beta", 0)
     matrix = matrix_from_json(data["matrix"], f"{path}: matrix")
     return Hamiltonian(matrix, beta)
 
 
 def load_measurement(path: str) -> ProjectiveMeasurement:
-    data = load_json(path)
-    if not isinstance(data, dict) or "dimension" not in data or "basis" not in data:
-        raise FileFormatError(f"{path}: expected keys 'dimension' and 'basis'")
-    dim = data["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: 'dimension' must be a positive integer")
+    data = _load_object(path, "dimension", "basis")
+    with _format_errors(path):
+        dim = _integer(data["dimension"], "dimension", 1)
     basis = matrix_from_json(data["basis"], f"{path}: basis")
     return ProjectiveMeasurement(dim, basis)
 
@@ -173,25 +181,12 @@ def measurement_to_json(m: ProjectiveMeasurement) -> dict:
 
 
 def load_optimizer_config(path: str) -> OptimizerConfig:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
-    hints = get_type_hints(OptimizerConfig)
-    types = {f.name: hints[f.name] for f in dataclasses.fields(OptimizerConfig)}
-    unknown = set(data) - set(types)
+    data = _load_object(path)
+    unknown = set(data) - {f.name for f in dataclasses.fields(OptimizerConfig)}
     if unknown:
         raise FileFormatError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if types[key] is float:
-            value = _require_number(value, f"{path}: {key}")
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise FileFormatError(f"{path}: {key} must be an integer")
-        kwargs[key] = value
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    with _format_errors(path):
+        return OptimizerConfig(**data)
 
 
 def _step_from_json(obj, where: str) -> ProtocolStep:
@@ -199,32 +194,27 @@ def _step_from_json(obj, where: str) -> ProtocolStep:
         raise FileFormatError(f"{where}: step must be an object with an 'op' key")
     op = obj["op"]
     try:
-        if op == "LocalUnitary":
-            return LocalUnitary(obj["side"], matrix_from_json(obj["matrix"], where))
-        if op == "AddMaxMixedAncilla":
-            return AddMaxMixedAncilla(obj["side"], obj["dim"])
-        if op == "LocalPartialTrace":
-            return LocalPartialTrace(obj["side"], obj["subsystem"])
-        if op == "SendQubit":
-            return SendQubit(obj["from"], obj["qubit"])
+        with _format_errors(where):
+            if op == "LocalUnitary":
+                return LocalUnitary(obj["side"], matrix_from_json(obj["matrix"], where))
+            if op == "AddMaxMixedAncilla":
+                return AddMaxMixedAncilla(obj["side"], obj["dim"])
+            if op == "LocalPartialTrace":
+                return LocalPartialTrace(obj["side"], obj["subsystem"])
+            if op == "SendQubit":
+                return SendQubit(obj["from"], obj["qubit"])
     except KeyError as exc:
         raise FileFormatError(f"{where}: missing field {exc} for op {op!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
     raise FileFormatError(f"{where}: unknown op {op!r}")
 
 
 def load_script(path: str) -> ProtocolScript:
-    data = load_json(path)
-    if not isinstance(data, dict) or "mode" not in data or "steps" not in data:
-        raise FileFormatError(f"{path}: expected keys 'mode' and 'steps'")
+    data = _load_object(path, "mode", "steps")
     if not isinstance(data["steps"], list):
         raise FileFormatError(f"{path}: 'steps' must be a list")
     steps = [
         _step_from_json(s, f"{path}: step {k}")
         for k, s in enumerate(data["steps"])
     ]
-    try:
+    with _format_errors(path):
         return ProtocolScript(data["mode"], tuple(steps))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc

@@ -26,8 +26,10 @@ from .errors import (
 from .states import (
     DensityMatrix,
     _check_orthonormal,
+    _check_subsystem,
     _conjugate_site,
     _finite_matrix,
+    _integer,
     require_bipartite,
 )
 
@@ -40,6 +42,7 @@ class ProjectiveMeasurement:
     basis: np.ndarray
 
     def __post_init__(self):
+        _integer(self.dimension, "dimension")
         b = np.array(self.basis, dtype=np.complex128)
         if b.shape != (self.dimension, self.dimension):
             raise DimensionMismatch(
@@ -152,9 +155,7 @@ def measure_local(
     rho: DensityMatrix, m: ProjectiveMeasurement, side: int
 ) -> DensityMatrix:
     """Dephase one subsystem in the measurement basis: sum_i P_i rho P_i."""
-    n = len(rho.dims)
-    if side < 0 or side >= n:
-        raise DimensionMismatch(f"subsystem {side} not in 0..{n - 1}")
+    _check_subsystem(rho.dims, side, DimensionMismatch)
     if m.dimension != rho.dims[side]:
         raise DimensionMismatch(
             f"measurement dimension {m.dimension} != subsystem dimension "
@@ -183,9 +184,7 @@ def dephasing_channel(rho: DensityMatrix, qubit: int) -> DensityMatrix:
     This is the classical-communication primitive; other dephasing bases
     are obtained by conjugating with local unitaries.
     """
-    n = len(rho.dims)
-    if qubit < 0 or qubit >= n:
-        raise DimensionMismatch(f"subsystem {qubit} not in 0..{n - 1}")
+    _check_subsystem(rho.dims, qubit, DimensionMismatch)
     if rho.dims[qubit] != 2:
         raise NotAQubit(
             f"subsystem {qubit} has dimension {rho.dims[qubit]}, expected 2"

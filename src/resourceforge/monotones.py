@@ -23,7 +23,7 @@ from .errors import (
     NonCommuting,
     UnequalSums,
 )
-from .states import DERIVED_TOL, DensityMatrix, check_dimension_cap, spectrum
+from .states import DERIVED_TOL, DensityMatrix, _finite, check_dimension_cap, spectrum
 
 _ZERO_FLOOR = 1e-12
 
@@ -40,7 +40,8 @@ class RateResult:
 def majorizes(x, y) -> bool:
     """True when every descending prefix sum of x dominates that of y.
 
-    The shorter spectrum is padded with zeros; the sums must agree to 1e-9.
+    The shorter spectrum is padded with zeros; the sums must agree to 1e-9,
+    and every entry must be finite (else ValueError).
     """
     x = np.sort(np.asarray(x, dtype=float).ravel())[::-1]
     y = np.sort(np.asarray(y, dtype=float).ravel())[::-1]
@@ -49,6 +50,8 @@ def majorizes(x, y) -> bool:
     y = np.pad(y, (0, n - y.size))
     if abs(x.sum() - y.sum()) > DERIVED_TOL:
         raise UnequalSums(f"sums differ: {x.sum():.12g} vs {y.sum():.12g}")
+    # after the sums: unequal sums with an infinite entry stay UnequalSums
+    _finite(np.concatenate([x, y]), "spectrum")
     return bool(np.all(np.cumsum(x) >= np.cumsum(y) - DERIVED_TOL))
 
 
@@ -80,7 +83,9 @@ def purity_rate(rho: DensityMatrix) -> RateResult:
 
 def conversion_rate(er_source: float, er_target: float) -> RateResult:
     """Ratio of resource contents; obeys forward * reverse = 1 when both
-    are positive."""
+    are positive.  Either content may be infinite, neither may be NaN."""
+    if math.isnan(er_source) or math.isnan(er_target):
+        raise ValueError("resource contents must not be NaN")
     if er_source < 0 or er_target < 0:
         raise ValueError("resource contents must be non-negative")
     if er_source <= _ZERO_FLOOR and er_target <= _ZERO_FLOOR:

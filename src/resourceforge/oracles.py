@@ -19,6 +19,7 @@ from .states import (
     DERIVED_TOL,
     EIG_FLOOR,
     DensityMatrix,
+    _integer,
     partial_trace,
     require_bipartite,
 )
@@ -32,8 +33,8 @@ class GridSpec:
     phi_points: int = 100
 
     def __post_init__(self):
-        if self.theta_points < 2 or self.phi_points < 2:
-            raise ValueError("grid needs at least 2 points per angle")
+        _integer(self.theta_points, "theta_points", 2)
+        _integer(self.phi_points, "phi_points", 2)
 
 
 def _qubit_grid_bases(g: GridSpec) -> np.ndarray:

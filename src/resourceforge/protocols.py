@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,8 +34,10 @@ from .measurements import dephasing_channel
 from .states import (
     DensityMatrix,
     _check_orthonormal,
+    _check_subsystem,
     _conjugate_site,
     _finite_matrix,
+    _integer,
     check_dimension_cap,
     maximally_mixed,
     partial_trace,
@@ -53,11 +54,6 @@ def _check_side(side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return side
-
-
-def _check_integer(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,7 @@ class AddMaxMixedAncilla:
 
     def __post_init__(self):
         _check_side(self.side)
-        _check_integer(self.dim, "ancilla dimension")
-        if self.dim < 2:
-            raise ValueError(f"ancilla dimension must be >= 2, got {self.dim}")
+        _integer(self.dim, "ancilla dimension", 2)
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class LocalPartialTrace:
 
     def __post_init__(self):
         _check_side(self.side)
-        _check_integer(self.subsystem, "subsystem")
+        _integer(self.subsystem, "subsystem")
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,7 @@ class SendQubit:
 
     def __post_init__(self):
         _check_side(self.from_side)
-        _check_integer(self.qubit, "qubit")
+        _integer(self.qubit, "qubit")
 
 
 ProtocolStep = Union[LocalUnitary, AddMaxMixedAncilla, LocalPartialTrace, SendQubit]
@@ -163,10 +157,7 @@ def _owned_indices(reg: Register, side: str) -> list[int]:
 
 def _check_owner(reg: Register, idx: int, side: str) -> None:
     """Raise IndexOutOfRange unless subsystem ``idx`` exists and ``side`` owns it."""
-    if idx < 0 or idx >= len(reg.state.dims):
-        raise IndexOutOfRange(
-            f"subsystem {idx} not in 0..{len(reg.state.dims) - 1}"
-        )
+    _check_subsystem(reg.state.dims, idx, IndexOutOfRange)
     if reg.ownership[idx] != side:
         raise IndexOutOfRange(
             f"subsystem {idx} is owned by {reg.ownership[idx]}, not {side}"

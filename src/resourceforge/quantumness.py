@@ -78,6 +78,8 @@ from .measurements import (
 from .oracles import relent_to_dephased, relent_to_doubly_dephased
 from .states import (
     DensityMatrix,
+    _integer,
+    _real,
     check_dimension_cap,
     embed,
     partial_trace,
@@ -116,14 +118,18 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.grid_points < 1 or self.max_iterations < 1:
-            raise ValueError("restarts, grid_points, max_iterations must be >= 1")
-        if not 0 < self.tolerance < math.inf:
+        for name in ("restarts", "grid_points", "max_iterations"):
+            _integer(getattr(self, name), name, 1)
+        try:
+            tolerance = _real(self.tolerance, "tolerance")
+        except ValueError:          # NaN, an infinity, or an int beyond float range
+            tolerance = math.nan
+        if not tolerance > 0:
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "tolerance", tolerance)
+        _integer(self.seed, "seed", 0)
 
 
 @dataclass(slots=True)
@@ -649,9 +655,10 @@ def generalized_deficit(
     optimum; ``argmin_isometry`` is the canonical embedding.
     """
     require_bipartite(rho)
-    if extra_dim < 0:
-        raise ValueError(f"extra_dim must be >= 0, got {extra_dim}")
+    _integer(extra_dim, "extra_dim", 0)
     d_a = rho.dims[0]
+    # before the (d_A + extra_dim) x d_A isometry is built, not after
+    check_dimension_cap((d_a + extra_dim, rho.dims[1]), "embedded dimension")
     isometry = np.eye(d_a + extra_dim, d_a, dtype=np.complex128)
     padded = embed(rho, isometry, 0)
 
@@ -676,7 +683,7 @@ def multicopy_deficit(rho: DensityMatrix, n: int, cfg: OptimizerConfig) -> float
     measurements on the joined A side.  Only n = 1 and n = 2 are supported.
     """
     require_bipartite(rho)
-    if n not in (1, 2):
+    if _integer(n, "copy count") not in (1, 2):
         raise ValueError(f"copy count must be 1 or 2, got {n}")
     if n == 1:
         return deficit_one_way(rho, cfg).value

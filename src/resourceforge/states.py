@@ -7,11 +7,21 @@ factors around.  All operations are pure functions and the arrays stored
 inside a :class:`DensityMatrix` are frozen, so values can be shared freely
 across threads.
 
-This module is the one home of the construction checks: every matrix a
-state, Hamiltonian, measurement basis, local unitary or isometry is built
-from is checked here for its shape, for finite entries (a NaN or an
-infinity is rejected with ``ValueError``), and for being Hermitian or
-having orthonormal columns.
+This module is the one home of the input rules, which every library
+constructor, the file loaders and the CLI call:
+
+- every matrix a state, Hamiltonian, measurement basis, local unitary or
+  isometry is built from is checked for its shape, for finite entries (a
+  NaN or an infinity is rejected with ``ValueError``), and for being
+  Hermitian or having orthonormal columns;
+- an integer parameter (a dimension, a count, a seed) is an integer, not a
+  bool or a float (``TypeError``), and is checked against its minimum
+  (``ValueError``);
+- a real parameter (beta, a tolerance) is a number, not a bool
+  (``TypeError``), and finite (``ValueError``, also for an integer beyond
+  the float range), and is kept as a float;
+- a subsystem index is an integer and lies in 0..n-1, with each caller's
+  error class.
 
 Tolerance ladder: construction checks run at ``CONSTRUCTION_TOL`` (1e-10),
 derived-quantity checks at ``DERIVED_TOL`` (1e-9), and ``EIG_FLOOR`` (1e-12)
@@ -23,6 +33,7 @@ every positive eigenvalue.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +58,46 @@ DERIVED_TOL = 1e-9
 EIG_FLOOR = 1e-12
 
 
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int: an integer that is not a bool, at least
+    ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(value, what: str, minimum: float | None = None) -> float:
+    """``value`` as a float: a real number that is not a bool, finite, and
+    at least ``minimum`` when one is given.  An integer beyond the float
+    range is refused as non-finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what}: non-finite number")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    return number
+
+
+def _check_subsystem(dims: Sequence[int], k: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``k`` indexes one of the subsystems ``dims``."""
+    if not 0 <= k < len(dims):
+        raise error(f"subsystem {k} not in 0..{len(dims) - 1}")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, checked to hold no NaN or infinity."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return values
+
+
 def _finite_matrix(matrix, tall: bool = False) -> np.ndarray:
     """A complex copy of ``matrix``, checked square (with ``tall``, at least
     as many rows as columns) and finite."""
@@ -54,9 +105,7 @@ def _finite_matrix(matrix, tall: bool = False) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < m.shape[1] or (m.shape[0] > m.shape[1] and not tall):
         shape = "a tall" if tall else "a square"
         raise DimensionMismatch(f"expected {shape} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return _finite(m, "matrix")
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -110,11 +159,12 @@ def require_bipartite(rho: DensityMatrix) -> None:
 def validate(matrix, dims: Sequence[int]) -> DensityMatrix:
     """Check matrix and dims and return a :class:`DensityMatrix`.
 
-    Raises the error of the first violated invariant: DimensionMismatch,
+    Raises the error of the first violated invariant: TypeError (a
+    dimension that is not an integer), DimensionMismatch,
     DimensionTooLarge, ValueError (non-finite entries), NotHermitian,
     NotUnitTrace, or NotPSD.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer(d, "subsystem dimension") for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
     check_dimension_cap(dims)
@@ -136,7 +186,7 @@ def validate(matrix, dims: Sequence[int]) -> DensityMatrix:
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     """Identity / d on the given subsystem layout."""
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(_integer(x, "subsystem dimension") for x in dims)
     d = int(np.prod(dims))
     return DensityMatrix(np.eye(d, dtype=np.complex128) / d, dims)
 
@@ -144,7 +194,7 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
 def pure_state(vector, dims: Sequence[int]) -> DensityMatrix:
     """Projector onto a (normalised) state vector."""
     v = np.asarray(vector, dtype=np.complex128).ravel()
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(_integer(x, "subsystem dimension") for x in dims)
     if v.size != int(np.prod(dims)):
         raise DimensionMismatch(
             f"vector length {v.size} does not match dims {dims}"
@@ -164,13 +214,12 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems in ``keep`` (original order kept)."""
-    keep_set = sorted(set(int(k) for k in keep))
+    keep_set = sorted(set(_integer(k, "subsystem") for k in keep))
     if not keep_set:
         raise EmptyKeepSet("keep set is empty")
     n = len(rho.dims)
     for k in keep_set:
-        if k < 0 or k >= n:
-            raise IndexOutOfRange(f"subsystem {k} not in 0..{n - 1}")
+        _check_subsystem(rho.dims, k, IndexOutOfRange)
     traced = [i for i in range(n) if i not in keep_set]
     dims = list(rho.dims)
     t = rho.matrix.reshape(dims + dims)
@@ -184,7 +233,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
     """Reorder subsystems; output factor k is input factor ``perm[k]``."""
     n = len(rho.dims)
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_integer(p, "subsystem") for p in perm)
     if sorted(perm) != list(range(n)):
         raise IndexOutOfRange(f"{perm} is not a permutation of 0..{n - 1}")
     dims = list(rho.dims)
@@ -236,9 +285,7 @@ def embed(rho: DensityMatrix, isometry, subsystem: int) -> DensityMatrix:
     V's column count to its row count.
     """
     v = validate_isometry(isometry)
-    n = len(rho.dims)
-    if subsystem < 0 or subsystem >= n:
-        raise IndexOutOfRange(f"subsystem {subsystem} not in 0..{n - 1}")
+    _check_subsystem(rho.dims, subsystem, IndexOutOfRange)
     if v.shape[1] != rho.dims[subsystem]:
         raise DimensionMismatch(
             f"isometry domain {v.shape[1]} != subsystem dimension "

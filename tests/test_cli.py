@@ -146,6 +146,29 @@ class TestFileFormats:
             rfio.matrix_from_json(rows, "M")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "loader, payload, message",
+        [
+            ("load_state", {"dims": [2.0], "matrix": [[[1, 0]]]},
+             "dims[0] must be an integer, got 2.0"),
+            ("load_state", {"dims": [2, True], "matrix": [[[1, 0]]]},
+             "dims[1] must be an integer, got True"),
+            ("load_measurement", {"dimension": True, "basis": [[[1, 0]]]},
+             "dimension must be an integer, got True"),
+            ("load_optimizer_config", {"restarts": 2.5},
+             "restarts must be an integer, got 2.5"),
+            ("load_optimizer_config", {"seed": True},
+             "seed must be an integer, got True"),
+        ],
+    )
+    def test_rule_errors_name_the_field(self, tmp_path, loader, payload, message):
+        # the loaders refuse by the rules of the constructors, and say which
+        # field broke which rule
+        path = write_json(tmp_path / "bad.json", payload)
+        with pytest.raises(rfio.FileFormatError) as info:
+            getattr(rfio, loader)(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_matrix_parse_is_exact(self):
         # integers, signed zeros and the largest integer a double holds
         rows = [[[1, 0], [-0.0, 2.5]], [[2**53, -0.0], [0.1, -1e-300]]]
@@ -220,6 +243,23 @@ class TestCliBasics:
         assert code == 2
         assert out == ""
         assert err.startswith("FileFormatError: ") and "non-finite number" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["majorize", "--x", "nan,1", "--y", "0.5,0.5"],
+             "spectrum contains non-finite entries"),
+            (["majorize", "--x", "0.5,0.5", "--y", "nan,1"],
+             "spectrum contains non-finite entries"),
+            (["rate", "--x", "nan", "--y", "1"], "resource contents must not be NaN"),
+            (["rate", "--x", "1", "--y", "nan"], "resource contents must not be NaN"),
+        ],
+    )
+    def test_nan_argument_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"ValueError: {message}\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, ["entropy", "--state", "/nonexistent.json"])
@@ -321,7 +361,8 @@ class TestCliOptimizers:
              "--seed", "7"],
         )
         assert code == 0
-        assert len(json.loads(out)["trace"]) == 5  # restarts plus the polish entry
+        # one entry per start, then (number of starts, best value)
+        assert len(json.loads(out)["trace"]) == 5
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -446,6 +446,9 @@ class TestGeneralizedDeficit:
     def test_padded_dimension_over_cap_raises(self):
         with pytest.raises(rf.DimensionTooLarge, match="embedded dimension 404"):
             rf.generalized_deficit(rf.maximally_mixed((2, 2)), 200, rf.OptimizerConfig())
+        # checked before the isometry is built, so no size is too large to refuse
+        with pytest.raises(rf.DimensionTooLarge, match="embedded dimension"):
+            rf.generalized_deficit(rf.maximally_mixed((2, 2)), 10**400, rf.OptimizerConfig())
 
 
 class TestMulticopy:
@@ -545,11 +548,22 @@ class TestOptimizerConfig:
             rf.OptimizerConfig(tolerance=0.0)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("seed", -1), ("tolerance", float("inf")), ("tolerance", float("nan"))],
+        "field, value, error",
+        [
+            pytest.param("seed", -1, ValueError, id="seed--1"),
+            pytest.param("tolerance", float("inf"), ValueError, id="tolerance-inf"),
+            pytest.param("tolerance", float("nan"), ValueError, id="tolerance-nan"),
+            # an integer beyond the float range, and counts that are not integers
+            pytest.param("tolerance", 10**400, ValueError, id="tolerance-10**400"),
+            pytest.param("tolerance", True, TypeError, id="tolerance-True"),
+            pytest.param("restarts", 2.5, TypeError, id="restarts-2.5"),
+            pytest.param("grid_points", 4.0, TypeError, id="grid_points-4.0"),
+            pytest.param("max_iterations", True, TypeError, id="max_iterations-True"),
+            pytest.param("seed", True, TypeError, id="seed-True"),
+        ],
     )
-    def test_refused_with_the_field_named(self, field, value):
-        with pytest.raises(ValueError, match=field):
+    def test_refused_with_the_field_named(self, field, value, error):
+        with pytest.raises(error, match=field):
             rf.OptimizerConfig(**{field: value})
 
     def test_determinism(self):

@@ -53,6 +53,72 @@ def test_non_finite_matrix_rejected(name, bad):
         _MATRIX_CHECKS[name](bad)
 
 
+_FAST = rf.OptimizerConfig(restarts=2, grid_points=2, max_iterations=5)
+
+# every library entry point of the integer and finite-number rules, each
+# given a value that the rules refuse: a bool or a float where an integer
+# is wanted, an integer beyond the float range, NaN or an infinity
+_INPUT_RULES = {
+    "Hamiltonian.beta": lambda v: rf.Hamiltonian(np.eye(2), v),
+    "validate.dims": lambda v: rf.validate(np.eye(4) / 4, [v, 2]),
+    "maximally_mixed.dims": lambda v: rf.maximally_mixed((v, 2)),
+    "pure_state.dims": lambda v: rf.pure_state([1, 0, 0, 0], (v, 2)),
+    "partial_trace.keep": lambda v: rf.partial_trace(rf.maximally_mixed((2, 2)), [v]),
+    "permute_subsystems.perm": lambda v: rf.permute_subsystems(rf.maximally_mixed((2, 3)), [v, 0]),
+    "ProjectiveMeasurement.dimension": lambda v: rf.ProjectiveMeasurement(v, np.eye(2)),
+    "generalized_deficit.extra_dim": lambda v: rf.generalized_deficit(bell(), v, _FAST),
+    "multicopy_deficit.n": lambda v: rf.multicopy_deficit(bell(), v, _FAST),
+    "GridSpec.theta_points": lambda v: rf.GridSpec(v, 100),
+    "GridSpec.phi_points": lambda v: rf.GridSpec(100, v),
+    "majorizes.x": lambda v: rf.majorizes([v, 1.0], [0.5, 0.5]),
+    "majorizes.both": lambda v: rf.majorizes([v], [v]),
+    "conversion_rate.source": lambda v: rf.conversion_rate(v, 1.0),
+    "conversion_rate.target": lambda v: rf.conversion_rate(1.0, v),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("Hamiltonian.beta", True, TypeError),
+        ("Hamiltonian.beta", 10**400, ValueError),
+        ("validate.dims", 2.9, TypeError),
+        ("validate.dims", True, TypeError),
+        ("maximally_mixed.dims", 2.9, TypeError),
+        ("pure_state.dims", 2.0, TypeError),
+        ("partial_trace.keep", 0.7, TypeError),
+        ("partial_trace.keep", True, TypeError),
+        ("permute_subsystems.perm", 1.2, TypeError),
+        ("ProjectiveMeasurement.dimension", 2.0, TypeError),
+        ("generalized_deficit.extra_dim", True, TypeError),
+        ("multicopy_deficit.n", True, TypeError),
+        ("multicopy_deficit.n", 2.0, TypeError),
+        ("GridSpec.theta_points", 2.5, TypeError),
+        ("GridSpec.phi_points", True, TypeError),
+        ("majorizes.x", np.nan, ValueError),
+        # inf - inf in the sums check warns, as it always has
+        pytest.param("majorizes.both", np.inf, ValueError,
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ("conversion_rate.source", np.nan, ValueError),
+        ("conversion_rate.target", np.nan, ValueError),
+    ],
+    ids=lambda v: "10**400" if v == 10**400 else None,
+)
+def test_input_rules_refuse(name, value, error):
+    with pytest.raises(error):
+        _INPUT_RULES[name](value)
+
+
+def test_input_rules_accept():
+    # numpy scalars are numbers, a real parameter is kept as a float, and a
+    # relative entropy may be infinite
+    assert rf.Hamiltonian(np.eye(2), np.float64(0.5)).beta == 0.5
+    assert type(rf.OptimizerConfig(tolerance=1).tolerance) is float
+    assert rf.validate(np.eye(4) / 4, [np.int64(2), 2]).dims == (2, 2)
+    assert rf.ProjectiveMeasurement(np.int64(2), np.eye(2)).dimension == 2
+    assert rf.conversion_rate(np.inf, 1.0).rate == np.inf
+
+
 class TestValidate:
     def test_maximally_mixed_qubit(self):
         rho = rf.validate(np.eye(2) / 2, [2])
