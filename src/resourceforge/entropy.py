@@ -93,7 +93,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     tr_rho_log_sigma = float(
         (rho_diag[on_support] * np.log2(s_vals[on_support])).sum()
     )
-    tr_rho_log_rho = -shannon_bits(np.linalg.eigvalsh(rho.matrix))
+    tr_rho_log_rho = -vn_entropy(rho)
     return max(0.0, tr_rho_log_rho - tr_rho_log_sigma)
 
 

@@ -1,9 +1,10 @@
-"""Reference implementations used to certify optimizer output.
+"""Reference implementations that optimizer output is checked against.
 
-These trade speed for independence from the search machinery.  The
-measurement grids (run in the test suite) re-derive the dephased-state
-entropies from scratch, vectorised over the whole grid, instead of calling
-the optimizer's objective; the relative-entropy certifiers build Pi(rho).
+These trade speed for independence from the search machinery, and no
+search calls them.  The measurement grids (run in the test suite) re-derive
+the dephased-state entropies from scratch, vectorised over the whole grid,
+instead of calling the optimizer's objective; the relative-entropy
+references build Pi(rho) and evaluate S(rho || Pi(rho)) directly.
 """
 
 from __future__ import annotations

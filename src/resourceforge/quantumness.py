@@ -53,8 +53,7 @@ deficit bound.  The bound is met on classical-quantum, classical-classical,
 pure and maximally correlated states; there the search usually ends at a
 structured start.  Since
 S(rho || Pi(rho)) = S(Pi(rho)) - S(rho) for a dephasing Pi, the
-relative-entropy twins run the deficit searches and certify their value at
-the argmin with ``resourceforge.oracles``.
+relative-entropy twins are the deficit searches themselves.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from .measurements import (
     param_count,
     param_ranges,
 )
-from .oracles import relent_to_dephased, relent_to_doubly_dephased
 from .states import (
     DensityMatrix,
     _integer,
@@ -138,8 +136,7 @@ class QuantumnessResult:
 
     ``trace`` holds (start index, final value) pairs, one per start of the
     descent, then (number of starts, best value); ``value`` is the minimum
-    over the trace (for the relative-entropy forms, only to rounding: see
-    ``relent_to_cq``).  A search that reaches its entropic lower bound stops
+    over the trace.  A search that reaches its entropic lower bound stops
     there: at a structured start, the trace holds (start index, value) for
     each structured start up to and including that one; after the descent,
     it holds the starts up to the first one within the bound, and no final
@@ -336,6 +333,7 @@ def minimize(
     follows the same path whichever starts share its batch.
     """
     u = [np.array(x, dtype=np.complex128) for x in starts]
+    gtol2 = gtol * gtol                 # a float product: inf, not OverflowError
     f, g = objective(*u, gradient=True)
     nfev, nit = len(f), 0
     gg = _inner(g, g)
@@ -343,7 +341,7 @@ def minimize(
         tau = 1 / np.sqrt(gg)
     # each start's lowest value and its bases there
     fun, bases = f, u
-    converged = gg <= gtol**2
+    converged = gg <= gtol2
     # the working set: the unfinished starts, and the Zhang-Hager reference
     # value C and its weight Q
     rows = np.flatnonzero(~converged)
@@ -389,7 +387,7 @@ def minimize(
         past = _NONMONOTONE * weight
         weight = past + 1
         ref = (past * ref + new_f) / weight
-        done = moved & (new_gg <= gtol**2)
+        done = moved & (new_gg <= gtol2)
         stay = moved & ~done
         if not stay.all():
             converged[rows[done]] = True
@@ -410,17 +408,13 @@ def _measured_dims(rho: DensityMatrix, sites: Sequence[int]) -> list[int]:
     return dims
 
 
-def _lattice(dims: Sequence[int], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
+@functools.lru_cache(maxsize=8)
+def _lattice(dims: tuple[int, ...], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
     """The seeding lattice over all sites' chart angles, one read-only
     (N, d, d) stack per site: the full grid when it has at most
     max(_LATTICE_CAP, 4 restarts) points, else max(8 restarts, 256) grid
     points drawn from ``cfg.seed``.  It depends on neither the state nor the
     objective, so the last few are kept."""
-    return _cached_lattice(tuple(dims), cfg)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_lattice(dims: tuple[int, ...], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
     axes = [
         np.linspace(lo, hi, cfg.grid_points, endpoint=False)
         for lo, hi in np.vstack([param_ranges(d) for d in dims])
@@ -443,24 +437,25 @@ def _cached_lattice(dims: tuple[int, ...], cfg: OptimizerConfig) -> tuple[np.nda
     return stacks
 
 
-def _distance(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """1 - sum_ij |<u_i|v_j>|^4 / d for each basis v of ``stack``: 0 exactly
-    when both measure the same projectors, whatever their columns' phases
-    or order.  On a qubit it is sin^2(theta) / 2 for Bloch axes theta apart.
-    One gemm over the stack laid side by side."""
-    d = len(u)
-    overlaps = np.abs(u.conj().T @ stack.swapaxes(0, 1).reshape(d, -1)) ** 2
-    return 1 - (overlaps**2).reshape(d, len(stack), d).sum(axis=(0, 2)) / d
+def _distance(us: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """1 - sum_ij |<u_i|v_j>|^4 / d for each basis u of ``us`` (k, d, d) and
+    v of ``stack`` (N, d, d), as a (k, N) array: 0 exactly when both measure
+    the same projectors, whatever their columns' phases or order.  On a
+    qubit it is sin^2(theta) / 2 for Bloch axes theta apart.  One gemm per
+    basis of ``us`` over the stack laid side by side."""
+    k, d, _ = us.shape
+    overlaps = np.abs(us.conj().swapaxes(1, 2) @ stack.swapaxes(0, 1).reshape(d, -1)) ** 2
+    return 1 - (overlaps**2).reshape(k, d, len(stack), d).sum(axis=(1, 3)) / d
 
 
 def _diverse_picks(
     lattice: Sequence[np.ndarray],
     order: np.ndarray,
-    chosen: Sequence[Sequence[np.ndarray]],
+    chosen: Sequence[np.ndarray],
     count: int,
 ) -> np.ndarray:
     """``count`` lattice indices to start from after the ``chosen`` starts
-    (each one basis per site).
+    (one (k, d, d) stack per site).
 
     Walking the lattice in ``order`` (ascending value), a point is skipped
     when on every site it lies within ``_START_DISTANCE`` of a start already
@@ -469,19 +464,18 @@ def _diverse_picks(
     """
     near = np.zeros(len(order), dtype=bool)
 
-    def mark(bases):
-        close = [_distance(u, site) < _START_DISTANCE for u, site in zip(bases, lattice)]
-        np.logical_or(near, np.logical_and.reduce(close), out=near)
+    def mark(stacks):
+        close = [_distance(us, site) < _START_DISTANCE for us, site in zip(stacks, lattice)]
+        np.logical_or(near, np.logical_and.reduce(close).any(axis=0), out=near)
 
-    for bases in chosen:
-        mark(bases)
+    mark(chosen)
     picks = []
     while len(picks) < count:
         free = order[~near[order]]
         if not free.size:
             break
         picks.append(free[0])
-        mark([site[free[0]] for site in lattice])
+        mark([site[free[:1]] for site in lattice])
     rest = order[~np.isin(order, picks)]
     return np.concatenate([np.array(picks, dtype=int), rest[: count - len(picks)]])
 
@@ -508,15 +502,16 @@ def _multistart(
     objective: _Objective,
     dims: Sequence[int],
     cfg: OptimizerConfig,
-    structured: Sequence[Sequence[np.ndarray]] = (),
+    seeds: Sequence[np.ndarray],
     bound: float = -math.inf,
 ) -> QuantumnessResult:
     """Minimise ``objective`` over one basis per site of dimensions ``dims``.
 
-    ``structured`` holds starts of one basis per site.  They are evaluated
-    first, in one batched call; then the seeding lattice, from which the
-    starts after them are picked (see ``_diverse_picks``) up to
-    ``cfg.restarts``.  ``minimize`` then runs all starts.
+    ``seeds`` holds the structured starts, one (k, d, d) stack per site.
+    They are evaluated first, in one batched call; then the seeding
+    lattice, from which the starts after them are picked (see
+    ``_diverse_picks``) up to ``cfg.restarts``.  ``minimize`` then runs all
+    starts.
 
     ``bound`` is a lower bound on ``objective``.  The first structured start
     within ``_STOP_EPS`` bits of it ends the search.  After the descent, the
@@ -526,20 +521,15 @@ def _multistart(
     returned bases.
     """
     stop = bound + _STOP_EPS
-    seeds = [
-        np.array([bases[s] for bases in structured], dtype=np.complex128).reshape(-1, d, d)
-        for s, d in enumerate(dims)
-    ]
-    if structured:
+    if len(seeds[0]):
         values = objective(*seeds).tolist()
         best, trace = _walk(values, stop)
         if values[best] <= stop:
             return _result(values[best], [site[best] for site in seeds], trace)
-    chosen = structured[: cfg.restarts]
     starts = [site[: cfg.restarts] for site in seeds]
-    places = cfg.restarts - len(chosen)
+    places = cfg.restarts - len(starts[0])
     if places > 0:
-        lattice = _lattice(dims, cfg)
+        lattice = _lattice(tuple(dims), cfg)
         # 64 rows at a time: the same values, as rows are independent, but
         # never the eigenvectors of the whole lattice in memory at once
         values = np.concatenate([
@@ -547,7 +537,7 @@ def _multistart(
             for k in range(0, len(lattice[0]), 64)
         ])
         order = np.argsort(values, kind="stable")
-        picks = _diverse_picks(lattice, order, chosen, places)
+        picks = _diverse_picks(lattice, order, starts, places)
         starts = [np.concatenate([s, site[picks]]) for s, site in zip(starts, lattice)]
     found = minimize(objective, starts, cfg.max_iterations, cfg.tolerance)
     values = found.fun.tolist()
@@ -573,10 +563,12 @@ def _search(
     ``_entropic_bound`` of the searched state (see ``_multistart``).
     """
     dims = _measured_dims(rho, sites)
-    eigenbases = tuple(np.linalg.eigh(partial_trace(rho, [s]).matrix)[1] for s in sites)
-    identity = tuple(np.eye(d, dtype=np.complex128) for d in dims)
-    structured = [*((u,) for u in warm_bases), eigenbases, identity]
-    return _multistart(objective, dims, cfg, structured, bound)
+    eigenbases = [np.linalg.eigh(partial_trace(rho, [s]).matrix)[1] for s in sites]
+    seeds = [
+        np.array([*warm_bases, u, np.eye(d)], dtype=np.complex128)
+        for u, d in zip(eigenbases, dims)
+    ]
+    return _multistart(objective, dims, cfg, seeds, bound)
 
 
 def deficit_one_way(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
@@ -607,22 +599,17 @@ def relent_to_cq(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Relative-entropy distance to states classical on A.
 
     The closest such state is the dephased state Pi(rho), and
-    S(rho || Pi(rho)) = S(Pi(rho)) - S(rho), so this runs the
-    ``deficit_one_way`` search.  ``value`` is S(rho || Pi(rho)) certified at
-    its argmin by ``oracles.relent_to_dephased``, an evaluation path
-    independent of the entropy-difference objective.
+    S(rho || Pi(rho)) = S(Pi(rho)) - S(rho), so this is the
+    ``deficit_one_way`` search, its value, trace and argmin unchanged.
     """
-    res = deficit_one_way(rho, cfg)
-    return replace(res, value=relent_to_dephased(rho, res.argmin_measurement))
+    return deficit_one_way(rho, cfg)
 
 
 def relent_to_cc(rho: DensityMatrix, cfg: OptimizerConfig) -> QuantumnessResult:
     """Relative-entropy distance to states classical on both sides: the
-    ``deficit_zero_way`` search, with ``value`` S(rho || Pi_AB(rho)) certified
-    at its argmin by ``oracles.relent_to_doubly_dephased``."""
-    res = deficit_zero_way(rho, cfg)
-    value = relent_to_doubly_dephased(rho, *res.argmin_measurement)
-    return replace(res, value=value)
+    ``deficit_zero_way`` search, its value, trace and argmin unchanged, as
+    S(rho || Pi_AB(rho)) = S(Pi_AB(rho)) - S(rho)."""
+    return deficit_zero_way(rho, cfg)
 
 
 def _lifted_deficit(

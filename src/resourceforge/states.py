@@ -305,9 +305,10 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
 
     Deterministic for a fixed seed.
     """
+    dim, rank = _integer(dim, "dim", 1), _integer(rank, "rank")
     if rank < 1 or rank > dim:
         raise RankOutOfRange(f"rank {rank} not in 1..{dim}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m = m / np.trace(m).real

@@ -255,7 +255,7 @@ def test_descent_returns_each_starts_lowest_value(name, dims):
 class TestLattice:
     def test_equal_keys_share_read_only_arrays(self):
         first = quantumness._lattice((2, 2), rf.OptimizerConfig(restarts=6, grid_points=5))
-        again = quantumness._lattice([2, 2], rf.OptimizerConfig(restarts=6, grid_points=5))
+        again = quantumness._lattice((2, 2), rf.OptimizerConfig(restarts=6, grid_points=5))
         assert again is first
         for stack in first:
             assert not stack.flags.writeable
@@ -265,11 +265,11 @@ class TestLattice:
     def test_seed_and_grid_points_change_it(self):
         # a 3-level side has 6 angles: 12^6 points is past the full-grid
         # cap, so the lattice is drawn from the seed
-        base = quantumness._lattice([3], rf.OptimizerConfig(seed=0))[0]
-        reseeded = quantumness._lattice([3], rf.OptimizerConfig(seed=1))[0]
+        base = quantumness._lattice((3,), rf.OptimizerConfig(seed=0))[0]
+        reseeded = quantumness._lattice((3,), rf.OptimizerConfig(seed=1))[0]
         assert base.shape == reseeded.shape and not np.array_equal(base, reseeded)
-        coarse = quantumness._lattice([2], rf.OptimizerConfig(grid_points=5))[0]
-        fine = quantumness._lattice([2], rf.OptimizerConfig(grid_points=6))[0]
+        coarse = quantumness._lattice((2,), rf.OptimizerConfig(grid_points=5))[0]
+        fine = quantumness._lattice((2,), rf.OptimizerConfig(grid_points=6))[0]
         assert (len(coarse), len(fine)) == (25, 36)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -284,9 +284,9 @@ class TestLattice:
             for v in stack
         ]
         np.testing.assert_allclose(
-            quantumness._distance(u, stack), explicit, rtol=0, atol=1e-14
+            quantumness._distance(u[None], stack)[0], explicit, rtol=0, atol=1e-14
         )
-        assert abs(quantumness._distance(u, stack)[-1]) <= 1e-14
+        assert abs(quantumness._distance(u[None], stack)[0][-1]) <= 1e-14
 
 
 def _discord_at(rho, columns):

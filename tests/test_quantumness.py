@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import resourceforge as rf
 from resourceforge import quantumness
+from resourceforge.oracles import relent_to_dephased, relent_to_doubly_dephased
 from helpers import (
     TWO_COPY_PAIR,
     ZERO_WAY_PAIR,
@@ -215,6 +216,26 @@ class TestSearchProperties:
             assert getattr(result, "value", result) >= -1e-12, name
 
     @settings(max_examples=10, deadline=None)
+    @given(
+        classical_b=st.booleans(),
+        dims=st.sampled_from([(3, 2), (2, 3), (3, 3)]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_free_states_vanish(self, classical_b, dims, seed):
+        # a state classical on A is free for the one-way forms, one classical
+        # on both sides for the zero-way forms as well; each search here
+        # stops at a structured start, so FAST cannot miss the minimum
+        rng = np.random.default_rng(seed)
+        if classical_b:
+            rho = cc_state(rng, *dims)
+            names = _SEARCHES + ("relent_to_cq", "relent_to_cc")
+        else:
+            rho = cq_state(rng, 3, dims[1])
+            names = ("discord", "deficit_one_way", "relent_to_cq")
+        for name in names:
+            assert abs(getattr(rf, name)(rho, FAST).value) <= 1e-6, name
+
+    @settings(max_examples=10, deadline=None)
     @given(**_STATES)
     def test_local_unitary_invariance(self, d_a, rank, seed):
         # at the default config: FAST's 6 starts can all miss the global
@@ -259,6 +280,33 @@ class TestRelativeEntropyRoutes:
             a = rf.deficit_zero_way(rho, FAST).value
             b = rf.relent_to_cc(rho, FAST).value
             assert abs(a - b) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "twin, search",
+        [("relent_to_cq", "deficit_one_way"), ("relent_to_cc", "deficit_zero_way")],
+    )
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_twin_is_its_deficit_search(self, twin, search, dims):
+        rho = random_bipartite(70, *dims)
+        a, b = getattr(rf, twin)(rho, FAST), getattr(rf, search)(rho, FAST)
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.trace == b.trace
+
+        def argmin_bytes(res):
+            m = res.argmin_measurement
+            return [x.basis.tobytes() for x in (m if isinstance(m, tuple) else (m,))]
+
+        assert argmin_bytes(a) == argmin_bytes(b)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_is_the_relative_entropy_at_the_argmin(self, dims, seed):
+        # the entropy difference against S(rho || Pi(rho)) built from Pi(rho)
+        rho = random_bipartite(seed + 80, *dims)
+        cq = rf.relent_to_cq(rho, FAST)
+        assert abs(cq.value - relent_to_dephased(rho, cq.argmin_measurement)) <= 1e-12
+        cc = rf.relent_to_cc(rho, FAST)
+        assert abs(cc.value - relent_to_doubly_dephased(rho, *cc.argmin_measurement)) <= 1e-12
 
 
 _PAULIS = (
@@ -396,13 +444,13 @@ class TestBasinDiverseStarts:
         rho = random_bipartite(2)
         objective = quantumness._one_way_objective(rho, discord=False)
         cfg = rf.OptimizerConfig(restarts=8)
-        lattice = quantumness._lattice([2], cfg)
+        lattice = quantumness._lattice((2,), cfg)
         order = np.argsort(objective(*lattice), kind="stable")
-        picks = quantumness._diverse_picks(lattice, order, [], 8)
+        picks = quantumness._diverse_picks(lattice, order, [np.empty((0, 2, 2))], 8)
         chosen = lattice[0][picks]
         for k, u in enumerate(chosen):
             others = np.delete(chosen, k, axis=0)
-            assert quantumness._distance(u, others).min() >= quantumness._START_DISTANCE
+            assert quantumness._distance(u[None], others)[0].min() >= quantumness._START_DISTANCE
         assert picks[0] == order[0]
 
 
@@ -566,6 +614,17 @@ class TestOptimizerConfig:
         with pytest.raises(error, match=field):
             rf.OptimizerConfig(**{field: value})
 
+    @pytest.mark.parametrize("search", [rf.deficit_one_way, rf.deficit_zero_way])
+    def test_huge_tolerance_converges_at_every_start(self, search):
+        # the tolerance squared is beyond the float range: every start
+        # counts as converged at its first gradient and none descends
+        rho = random_bipartite(3)
+        cfg = rf.OptimizerConfig(restarts=6, grid_points=5, tolerance=1e200)
+        res = search(rho, cfg)
+        assert len(res.trace) == cfg.restarts + 1
+        assert res.value == min(v for _, v in res.trace)
+        assert res.value >= search(rho, FAST).value - 1e-9
+
     def test_determinism(self):
         rho = random_bipartite(33)
         a = rf.deficit_one_way(rho, FAST)
@@ -643,7 +702,8 @@ class TestEntropicStop:
             objective = _OBJECTIVES[name](rho)
             dims = [2] * (1 if name == "deficit_one_way" else 2)
             bound = quantumness._entropic_bound(rho)
-            res = quantumness._multistart(objective, dims, cfg, (), bound)
+            seeds = [np.empty((0, d, d), dtype=complex) for d in dims]
+            res = quantumness._multistart(objective, dims, cfg, seeds, bound)
             assert res.value <= 1e-6
             assert res.value == min(v for _, v in res.trace)
 
@@ -686,7 +746,7 @@ class TestEntropicStop:
     def test_unreached_bound_changes_nothing(self):
         rho = random_bipartite(3)
         objective = quantumness._one_way_objective(rho, discord=False)
-        args = (objective, [2], FAST, [(np.eye(2),)])
+        args = (objective, [2], FAST, [np.eye(2)[None]])
         plain = quantumness._multistart(*args)
         bound = quantumness._entropic_bound(rho)
         bounded = quantumness._multistart(*args, bound)

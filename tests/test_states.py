@@ -74,6 +74,9 @@ _INPUT_RULES = {
     "majorizes.both": lambda v: rf.majorizes([v], [v]),
     "conversion_rate.source": lambda v: rf.conversion_rate(v, 1.0),
     "conversion_rate.target": lambda v: rf.conversion_rate(1.0, v),
+    "random_density.dim": lambda v: rf.random_density(v, 1, 0),
+    "random_density.rank": lambda v: rf.random_density(4, v, 0),
+    "random_density.seed": lambda v: rf.random_density(4, 2, v),
 }
 
 
@@ -101,6 +104,11 @@ _INPUT_RULES = {
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         ("conversion_rate.source", np.nan, ValueError),
         ("conversion_rate.target", np.nan, ValueError),
+        ("random_density.dim", 2.0, TypeError),
+        ("random_density.dim", 0, ValueError),
+        ("random_density.rank", True, TypeError),
+        ("random_density.seed", True, TypeError),
+        ("random_density.seed", -1, ValueError),
     ],
     ids=lambda v: "10**400" if v == 10**400 else None,
 )
